@@ -117,15 +117,9 @@ def bench_index_and_query() -> dict:
     # GRAFT_BENCH_POSITIONS=1 measures the positions-sidecar build (one
     # row per token occurrence — the Lucene-.pos-sized artifact phrase
     # queries need); default is the core postings-only build
-    # GRAFT_BENCH_CODEC=bitpack A/Bs the posting-stream codec (the
-    # bandwidth-bound-leg lever; default comes from IndexConfig)
-    codec_kw = {}
-    if os.environ.get("GRAFT_BENCH_CODEC"):
-        codec_kw["codec"] = os.environ["GRAFT_BENCH_CODEC"]
     cfg = IndexConfig(num_partitions=32, salt_buckets=4,
                       store_positions=bool(int(os.environ.get(
-                          "GRAFT_BENCH_POSITIONS", "0"))),
-                      **codec_kw)
+                          "GRAFT_BENCH_POSITIONS", "0"))))
     t0 = time.monotonic()
     meta = build_index(corpus_dir, idx_dir, cfg,
                        corpus_tag=f"bench{BENCH_DOCS}")

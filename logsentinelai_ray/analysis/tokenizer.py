@@ -27,6 +27,7 @@ Pipeline (applied in this exact order in both implementations):
 from __future__ import annotations
 
 import re
+from typing import NamedTuple
 
 import numpy as np
 import pyarrow as pa
@@ -122,6 +123,43 @@ def _tokenize_batch_polars(
     row_idx = np.repeat(np.arange(n, dtype=np.int64), np.diff(offsets))
     doc_len = np.bincount(row_idx, minlength=n).astype(np.int64)
     return row_idx, flat, doc_len
+
+
+class TermTF(NamedTuple):
+    """``term_tf`` output: per-occurrence encoding plus the distinct
+    (row, term) pairs in (row, code) order."""
+
+    enc: pa.DictionaryArray  # tokens, dictionary-encoded
+    codes: np.ndarray        # int64 dictionary code per occurrence
+    rows: np.ndarray         # int64 row of each distinct pair
+    terms: np.ndarray        # int64 dictionary code of each pair
+    tf: np.ndarray           # int64 occurrences of each pair
+
+
+def term_tf(tokens: pa.Array, row_idx: np.ndarray) -> TermTF:
+    """Term frequency per (row, term) of a batch's token stream — the
+    one kernel behind posting emission, simhash weights and the df
+    aggregations. Dictionary-encodes ``tokens`` once, then a single
+    ``np.unique`` over the combined key ``row * |vocab| + code`` yields
+    the distinct pairs and their counts; no Python loop per token."""
+    enc = tokens.dictionary_encode()
+    if isinstance(enc, pa.ChunkedArray):
+        enc = enc.combine_chunks()
+    codes = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
+    nv = max(1, len(enc.dictionary))
+    uniq, tf = np.unique(row_idx * nv + codes, return_counts=True)
+    return TermTF(enc, codes, uniq // nv, uniq % nv, tf)
+
+
+def rows_with_any(row_idx: np.ndarray, tokens: pa.Array, terms: list[str],
+                  n_rows: int) -> np.ndarray:
+    """Boolean mask over a batch's ``n_rows`` rows: True where the row's
+    token stream holds at least one of ``terms``."""
+    hit = pc.is_in(tokens, value_set=pa.array(terms, pa.string())) \
+        .to_numpy(zero_copy_only=False)
+    mask = np.zeros(n_rows, dtype=bool)
+    mask[row_idx[hit]] = True
+    return mask
 
 
 # -- stemming (per-field analyzer option; IndexConfig.stem) -----------------

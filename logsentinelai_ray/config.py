@@ -15,10 +15,11 @@ from dataclasses import dataclass, field
 class IndexConfig:
     """Knobs for the inverted-index build + BM25 query engine.
 
-    Defaults are sized for the single-node sandbox (32 CPUs / 128 GiB); the
-    scale path at 10^12 files is the same code with ``num_partitions`` raised
-    so one term-partition's postings fit a worker's heap (partitions are the
-    checkpoint + shuffle + query-shard unit).
+    Defaults suit a single node with a few CPUs; the scale path at 10^12
+    files is the same code with ``num_partitions`` raised so one
+    term-partition's postings fit a worker's heap (partitions are the
+    checkpoint + shuffle + query-shard unit). Posting streams have one
+    format: delta-gap + LEB128 varint (index/codec.py).
     """
 
     # BM25 (Okapi; Lucene-style idf) — fixed by BASELINE.json north_star.
@@ -84,16 +85,6 @@ class IndexConfig:
     # same rule at search time (query/shards.py::SearchEngine._toks).
     # The path field keeps its own unstemmed analyzer.
     stem: str = ""
-
-    # Posting-stream codec: "varint" (delta-gap + LEB128, the default)
-    # or "bitpack" (per-block FOR bit-packing, the Lucene-postings
-    # layout) — a dense term's gaps pack into 1-3 bits instead of >= 8,
-    # so "bitpack" trades a somewhat slower numpy decode for 2-4x fewer
-    # index bytes moved through storage / network / page cache — the
-    # binding resource at 10^12 docs. Both codecs share the segment
-    # schema and block-max metadata; query results are bit-identical
-    # (rank-identity tested in tests/test_codec_bitpack.py).
-    codec: str = "varint"
 
     # Write the norms sidecar (norms/, one row per doc: doc_id, dl,
     # path_dl — the Lucene .nvd analog), doc-id-sorted for row-group-

@@ -17,7 +17,7 @@ import hashlib
 import numpy as np
 import pyarrow as pa
 
-from ..analysis.tokenizer import tokenize_batch_arrow
+from ..analysis.tokenizer import term_tf, tokenize_batch_arrow
 
 
 def _hash64(token: str) -> int:
@@ -35,10 +35,7 @@ class SimHashEmit:
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         row_idx, tokens, _dl = tokenize_batch_arrow(batch[self.text_col])
-        enc = tokens.dictionary_encode()
-        if isinstance(enc, pa.ChunkedArray):
-            enc = enc.combine_chunks()
-        codes = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
+        enc, _, u_row, u_code, tf = term_tf(tokens, row_idx)
         vocab = enc.dictionary.to_pylist()
         cache = self._cache
         hashes = np.empty(max(1, len(vocab)), dtype=np.uint64)
@@ -50,12 +47,7 @@ class SimHashEmit:
             hashes[i] = h
         n_docs = batch.num_rows
         doc_ids = batch[self.id_col].to_numpy(zero_copy_only=False)
-        # tf per (row, token) via np.unique on the combined key
-        nv = max(1, len(vocab))
-        combined = row_idx * nv + codes
-        uniq, tf = np.unique(combined, return_counts=True)
-        u_row = (uniq // nv).astype(np.int64)
-        u_hash = hashes[(uniq % nv).astype(np.int64)]
+        u_hash = hashes[u_code]
         # bit matrix: (n_pairs, 64) of +tf / -tf
         bits = ((u_hash[:, None] >> np.arange(64, dtype=np.uint64)[None, :])
                 & np.uint64(1)).astype(np.int64)

@@ -7,7 +7,7 @@ Stages (each a checkpoint; a rerun skips completed work via the manifest):
                   through a shuffle: only the (key, row) projection is
                   exchanged; content is read once and written once.
   2. postings   : ``map_batches`` tokenize (zero-copy Arrow, vectorized tf
-                  via np.unique) → raw triples (part, salt, term, doc_id,
+                  via term_tf) → raw triples (part, salt, term, doc_id,
                   tf, dl) + field postings ("lang:x", "repo:y"), written as
                   **hash-partitioned parquet** ``postings_raw/part=P/``.
                   This IS the build's term shuffle: the exchange
@@ -74,7 +74,7 @@ _EXCHANGE_WRITE_KW = dict(compression="lz4",
 
 import ray
 
-from ..analysis.tokenizer import tokenize_batch_arrow
+from ..analysis.tokenizer import term_tf, tokenize_batch_arrow
 from ..config import IndexConfig
 from . import manifest as mf
 from .segments import encode_runs, merge_runs
@@ -486,18 +486,8 @@ def tokenize_emit(batch: pa.Table, cfg: IndexConfig, n_docs: int,
     doc_ids = batch["doc_id"].to_numpy(zero_copy_only=False)
     n_docs = max(1, n_docs)
     P = cfg.num_partitions
-    enc = tokens.dictionary_encode()
-    if isinstance(enc, pa.ChunkedArray):
-        enc = enc.combine_chunks()
-    codes = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-    vocab = enc.dictionary.to_pylist()
-    nv = max(1, len(vocab))
-    # tf per (row, term): np.unique over a combined key — no Python loop
-    combined = row_idx * nv + codes
-    uniq, tf = np.unique(combined, return_counts=True)
-    u_row = (uniq // nv).astype(np.int64)
-    u_code = (uniq % nv).astype(np.int64)
-    term_parts = _parts_for(vocab, P)
+    enc, codes, u_row, u_code, tf = term_tf(tokens, row_idx)
+    term_parts = _parts_for(enc.dictionary.to_pylist(), P)
 
     positions = None
     if with_positions and codes.size:
@@ -532,7 +522,7 @@ def tokenize_emit(batch: pa.Table, cfg: IndexConfig, n_docs: int,
         "doc_id": pa.array(doc_ids[u_row], pa.int64()),
         "tf": pa.array(tf.astype(np.int32), pa.int32()),
         "dl": pa.array(dl_np[u_row].astype(np.int32), pa.int32()),
-        "is_field": pa.array(np.zeros(len(uniq), dtype=bool)),
+        "is_field": pa.array(np.zeros(len(tf), dtype=bool)),
     })
 
     # scored path field (ES multi_match): real tf/dl under its own
@@ -542,20 +532,11 @@ def tokenize_emit(batch: pa.Table, cfg: IndexConfig, n_docs: int,
     if cfg.index_path_field and "path" in batch.column_names:
         p_row, p_tok, p_dl = tokenize_batch_arrow(batch["path"],
                                                   cfg.max_token_len)
-        p_enc = pc.binary_join_element_wise(
-            pa.array(["p:"] * len(p_tok), pa.string()), p_tok, "")
-        p_enc = p_enc.dictionary_encode()
-        if isinstance(p_enc, pa.ChunkedArray):
-            p_enc = p_enc.combine_chunks()
-        p_codes = p_enc.indices.to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
-        p_vocab = p_enc.dictionary.to_pylist()
-        pnv = max(1, len(p_vocab))
-        p_comb = p_row * pnv + p_codes
-        p_uniq, p_tf = np.unique(p_comb, return_counts=True)
-        pu_row = (p_uniq // pnv).astype(np.int64)
-        pu_code = (p_uniq % pnv).astype(np.int64)
-        p_parts = _parts_for(p_vocab, P)
+        p_enc, _, pu_row, pu_code, p_tf = term_tf(
+            pc.binary_join_element_wise(
+                pa.array(["p:"] * len(p_tok), pa.string()), p_tok, ""),
+            p_row)
+        p_parts = _parts_for(p_enc.dictionary.to_pylist(), P)
         field_tables.append(pa.table({
             "part": pa.array(p_parts[pu_code], pa.int32()),
             "term": pa.DictionaryArray.from_arrays(
@@ -563,7 +544,7 @@ def tokenize_emit(batch: pa.Table, cfg: IndexConfig, n_docs: int,
             "doc_id": pa.array(doc_ids[pu_row], pa.int64()),
             "tf": pa.array(p_tf.astype(np.int32), pa.int32()),
             "dl": pa.array(p_dl[pu_row].astype(np.int32), pa.int32()),
-            "is_field": pa.array(np.ones(len(p_uniq), dtype=bool)),
+            "is_field": pa.array(np.ones(len(p_tf), dtype=bool)),
         }))
 
     # keyword-field postings for filters (lang / repo): tf=1, dl=1;
@@ -730,7 +711,6 @@ def compute_stats(index_dir: str, cfg: IndexConfig, n_docs: int) -> dict:
         "block_size": cfg.block_size,
         "max_token_len": cfg.max_token_len,
         "store_positions": cfg.store_positions,
-        "codec": cfg.codec,
         "stem": cfg.stem,
     }
     mf.write_stats(index_dir, stats)

@@ -96,152 +96,3 @@ def delta_decode(data: bytes | memoryview) -> np.ndarray:
     gaps = decode_varint(data)
     return np.cumsum(gaps)
 
-
-# ---------------------------------------------------------------------------
-# FOR ("frame of reference") per-block bit-packing — the optional
-# ``IndexConfig.codec="bitpack"`` alternative to varint. Lucene's postings
-# pack doc-id gaps the same way (FOR/PFOR blocks); at 10^12-doc scale the
-# win is BYTES: a dense term's gaps are 1-3 bits each vs >= 8 for any
-# varint byte, and index bytes are what the object store, the network and
-# the page cache actually move. Layout per block:
-#   [1-byte bit width w][ceil(count*w/8) bytes payload, little bit order]
-# Blocks stay independently decodable (the stored per-block byte offsets
-# locate headers — no sequential scan), so block-max WAND skipping and
-# run-concatenation merges work unchanged.
-# ---------------------------------------------------------------------------
-
-
-def _bit_widths(maxv: np.ndarray) -> np.ndarray:
-    """Bits needed per block: bit_length(max value), min 1 — via 63
-    threshold comparisons over the (tiny, n_blocks-sized) max array."""
-    m = np.asarray(maxv, dtype=np.uint64)
-    w = np.ones(m.shape, dtype=np.int64)
-    for k in range(1, 64):
-        w += (m >= np.uint64(1) << np.uint64(k)).astype(np.int64)
-    return w
-
-
-def encode_for(values: np.ndarray, block_starts: np.ndarray
-               ) -> tuple[bytes, np.ndarray]:
-    """Bit-pack ``values`` into per-block FOR frames.
-
-    Returns ``(bytes, byte offset of each block start)`` — the same
-    contract as the varint ``_stream_encode`` path so segment offset
-    metadata is codec-agnostic. Fully vectorized: per-bit destination
-    indices via the repeat/cumsum machinery, one ``np.packbits`` for the
-    whole stream, headers interleaved by scatter."""
-    v = np.asarray(values, dtype=np.uint64)
-    starts = np.asarray(block_starts, dtype=np.int64)
-    nb = starts.size
-    if v.size == 0 or nb == 0:
-        return b"", np.zeros(nb, dtype=np.int64)
-    n = v.size
-    ends = np.append(starts[1:], n)
-    counts = ends - starts
-    w = _bit_widths(np.maximum.reduceat(v, starts))
-    payload_bytes = (counts * w + 7) // 8
-    sizes = 1 + payload_bytes
-    gstart = np.zeros(nb, dtype=np.int64)
-    np.cumsum(sizes[:-1], out=gstart[1:])
-
-    block_of_value = np.repeat(np.arange(nb, dtype=np.int64), counts)
-    wv = w[block_of_value]
-    pos_in_block = np.arange(n, dtype=np.int64) - starts[block_of_value]
-    pb_bit_base = np.zeros(nb, dtype=np.int64)
-    np.cumsum(payload_bytes[:-1] * 8, out=pb_bit_base[1:])
-    val_bit_start = pb_bit_base[block_of_value] + pos_in_block * wv
-
-    vstarts = np.zeros(n, dtype=np.int64)
-    np.cumsum(wv[:-1], out=vstarts[1:])
-    total_vbits = int(wv.sum())
-    bit_value_idx = np.repeat(np.arange(n, dtype=np.int64), wv)
-    bit_pos = np.arange(total_vbits, dtype=np.int64) \
-        - vstarts[bit_value_idx]
-    bits = ((v[bit_value_idx] >> bit_pos.astype(np.uint64))
-            & np.uint64(1)).astype(np.uint8)
-
-    total_payload = int(payload_bytes.sum())
-    bitbuf = np.zeros(total_payload * 8, dtype=np.uint8)
-    bitbuf[val_bit_start[bit_value_idx] + bit_pos] = bits
-    payload = np.packbits(bitbuf, bitorder="little")
-
-    out = np.empty(total_payload + nb, dtype=np.uint8)
-    out[gstart] = w.astype(np.uint8)
-    pb_block = np.repeat(np.arange(nb, dtype=np.int64), payload_bytes)
-    pstart = np.zeros(nb, dtype=np.int64)
-    np.cumsum(payload_bytes[:-1], out=pstart[1:])
-    local = np.arange(total_payload, dtype=np.int64) - pstart[pb_block]
-    out[gstart[pb_block] + 1 + local] = payload
-    return out.tobytes(), gstart
-
-
-def decode_for_block(buf: bytes | memoryview | np.ndarray,
-                     count: int) -> np.ndarray:
-    """Decode ONE FOR block (header + payload) of ``count`` values."""
-    b = (np.frombuffer(buf, dtype=np.uint8)
-         if not isinstance(buf, np.ndarray) else buf)
-    if count == 0 or b.size == 0:
-        return np.empty(0, dtype=np.int64)
-    w = int(b[0])
-    bits = np.unpackbits(b[1:], bitorder="little",
-                         count=count * w).reshape(count, w)
-    powers = (np.int64(1) << np.arange(w, dtype=np.int64))
-    return bits.astype(np.int64) @ powers
-
-
-def decode_for_stream(data: bytes | memoryview | np.ndarray,
-                      offs: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Decode a whole FOR stream (all blocks) in one vectorized pass.
-
-    ``offs`` = per-block byte offsets with the trailing total (the stored
-    segment metadata, possibly rebased to this slice); ``counts`` =
-    per-block value counts. Blocks are grouped by (width, count) — a
-    term stream has ~one width per density regime plus a handful of
-    short tail blocks — and each group decodes as a matrix:
-    ``np.unpackbits(axis=1)`` -> (values, width) bit rows ->
-    ``np.packbits(axis=1)`` -> <= 8 byte columns OR-ed into int64.
-    Both bit kernels are SIMD C loops, so the per-value Python-level
-    work is ~width/8 shifts — measured ~3-10x faster than per-value
-    byte-window gathers and ~20x faster than per-bit reduceat."""
-    b = (np.frombuffer(data, dtype=np.uint8)
-         if not isinstance(data, np.ndarray) else data)
-    offs = np.asarray(offs, dtype=np.int64)
-    counts = np.asarray(counts, dtype=np.int64)
-    nb = counts.size
-    if nb == 0 or b.size == 0:
-        return np.empty(0, dtype=np.int64)
-    w = b[offs[:nb]].astype(np.int64)
-    n = int(counts.sum())
-    vblock_starts = np.zeros(nb, dtype=np.int64)
-    np.cumsum(counts[:-1], out=vblock_starts[1:])
-
-    out = np.empty(n, dtype=np.int64)
-    key = w * (counts.max() + 1) + counts
-    order = np.argsort(key, kind="stable")
-    ks = key[order]
-    group_bounds = np.flatnonzero(
-        np.r_[True, ks[1:] != ks[:-1], True])
-    for gi in range(group_bounds.size - 1):
-        blocks = order[group_bounds[gi]:group_bounds[gi + 1]]
-        w_g = int(w[blocks[0]])
-        cnt_g = int(counts[blocks[0]])
-        g = blocks.size
-        pbytes = (cnt_g * w_g + 7) // 8
-        # gather the group payloads as one (g, pbytes) byte matrix
-        mat = b[(offs[blocks] + 1)[:, None]
-                + np.arange(pbytes, dtype=np.int64)[None, :]]
-        bits = np.unpackbits(mat, axis=1, bitorder="little",
-                             count=cnt_g * w_g).reshape(g * cnt_g, w_g)
-        cols = (w_g + 7) // 8
-        if w_g % 8:
-            padded = np.zeros((g * cnt_g, cols * 8), dtype=np.uint8)
-            padded[:, :w_g] = bits
-            bits = padded
-        by = np.packbits(bits, axis=1, bitorder="little")
-        v = by[:, 0].astype(np.int64)
-        for c in range(1, cols):
-            v |= by[:, c].astype(np.int64) << (8 * c)
-        dest = (vblock_starts[blocks][:, None]
-                + np.arange(cnt_g, dtype=np.int64)[None, :]).ravel()
-        out[dest] = v
-    return out

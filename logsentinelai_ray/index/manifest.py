@@ -91,8 +91,17 @@ def write_meta(index_dir: str, meta: dict) -> None:
 
 
 def read_stats(index_dir: str) -> dict:
+    """The index's stats.json. Posting streams are varint whatever the
+    ``codec`` key says (older indexes carry none, or a descriptive
+    string), except "bitpack": that format is no longer decoded, and
+    reading it as varint would return wrong postings."""
     with open(os.path.join(index_dir, "stats.json")) as f:
-        return json.load(f)
+        stats = json.load(f)
+    if stats.get("codec") == "bitpack":
+        raise ValueError(
+            f"index {index_dir!r} was built with the removed 'bitpack'"
+            " posting codec; rebuild it with build_index")
+    return stats
 
 
 def write_stats(index_dir: str, stats: dict) -> None:

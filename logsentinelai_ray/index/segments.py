@@ -52,13 +52,9 @@ SEGMENT_SCHEMA = pa.schema([
 ])
 
 
-def _stream_encode(values: np.ndarray, block_starts: np.ndarray,
-                   codec: str = "varint") -> tuple[bytes, np.ndarray]:
+def _stream_encode(values: np.ndarray, block_starts: np.ndarray
+                   ) -> tuple[bytes, np.ndarray]:
     """Encode one stream; return (bytes, byte offset of each block)."""
-    if codec == "bitpack":
-        from .codec import encode_for
-
-        return encode_for(values, block_starts)
     data = encode_varint(values)
     sizes = varint_sizes(values)
     cum = np.zeros(values.size + 1, dtype=np.int64)
@@ -116,9 +112,9 @@ def encode_runs(group: pa.Table, cfg: IndexConfig, avgdl: float) -> pa.Table:
     gaps[1:] -= doc_ids[:-1]
     gaps[block_starts] = doc_ids[block_starts]
 
-    doc_data, doc_off = _stream_encode(gaps, block_starts, cfg.codec)
-    tf_data, tf_off = _stream_encode(tfs, block_starts, cfg.codec)
-    dl_data, dl_off = _stream_encode(dls, block_starts, cfg.codec)
+    doc_data, doc_off = _stream_encode(gaps, block_starts)
+    tf_data, tf_off = _stream_encode(tfs, block_starts)
+    dl_data, dl_off = _stream_encode(dls, block_starts)
 
     block_ends = np.empty_like(block_starts)
     block_ends[:-1] = block_starts[1:]

@@ -70,7 +70,7 @@ from .build import (
 # term partitions (ADVICE round 1).
 _SHAPE_FIELDS = ("num_partitions", "salt_buckets", "block_size",
                  "max_token_len", "k1", "b", "store_positions",
-                 "index_path_field", "codec")
+                 "index_path_field")
 
 
 def _effective_config(stats: dict, cfg: IndexConfig | None) -> IndexConfig:

@@ -1381,20 +1381,15 @@ def q_percolate(sf_dir: str):
     through), which is exactly how ES percolation differs from query."""
     from ray.data.aggregate import Sum
 
-    from ..analysis.tokenizer import tokenize_batch_arrow
+    from ..analysis.tokenizer import rows_with_any, tokenize_batch_arrow
 
     ds = _read(sf_dir, "documents", columns=["text"])
     all_terms = sorted({t for _, ts in PERCOLATE_QUERIES for t in ts})
 
     def prep(t: pa.Table) -> pa.Table:
         row_idx, toks, _ = tokenize_batch_arrow(t["text"])
-        masks = {}
-        for term in all_terms:
-            hit_rows = np.unique(row_idx[
-                pc.equal(toks, term).to_numpy(zero_copy_only=False)])
-            mk = np.zeros(t.num_rows, dtype=bool)
-            mk[hit_rows] = True
-            masks[term] = mk
+        masks = {term: rows_with_any(row_idx, toks, [term], t.num_rows)
+                 for term in all_terms}
         qids, counts = [], []
         for qid, terms in PERCOLATE_QUERIES:
             conj = np.ones(t.num_rows, dtype=bool)
@@ -1522,16 +1517,13 @@ def q_term_match_counts(sf_dir: str):
     filter + count aggregation shape (SURVEY §1.2)."""
     from ray.data.aggregate import Count
 
-    from ..analysis.tokenizer import tokenize_batch_arrow
+    from ..analysis.tokenizer import rows_with_any, tokenize_batch_arrow
 
     ds = _read(sf_dir, "documents", columns=["lang", "text"])
 
     def prep(t: pa.Table) -> pa.Table:
         row_idx, toks, _ = tokenize_batch_arrow(t["text"])
-        hit_rows = np.unique(
-            row_idx[pc.equal(toks, "merge").to_numpy(zero_copy_only=False)])
-        mask = np.zeros(t.num_rows, dtype=bool)
-        mask[hit_rows] = True
+        mask = rows_with_any(row_idx, toks, ["merge"], t.num_rows)
         return pa.table({"lang": t["lang"].filter(pa.array(mask))})
 
     out = (ds.map_batches(prep, batch_format="pyarrow")
@@ -1544,19 +1536,14 @@ def q_df_top_terms(sf_dir: str):
     inverted index; partial per-batch distinct → groupby sum)."""
     from ray.data.aggregate import Sum
 
-    from ..analysis.tokenizer import tokenize_batch_arrow
+    from ..analysis.tokenizer import term_tf, tokenize_batch_arrow
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
 
     def partial_df(t: pa.Table) -> pa.Table:
         row_idx, toks, _ = tokenize_batch_arrow(t["text"])
-        enc = toks.dictionary_encode()
-        if isinstance(enc, pa.ChunkedArray):
-            enc = enc.combine_chunks()
-        codes = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-        nv = max(1, len(enc.dictionary))
-        uniq = np.unique(row_idx * nv + codes)
-        terms = enc.dictionary.take(pa.array(uniq % nv))
+        tt = term_tf(toks, row_idx)
+        terms = tt.enc.dictionary.take(pa.array(tt.terms))
         tdf = pa.table({"term": terms}).group_by("term").aggregate(
             [([], "count_all")])
         return pa.table({"term": tdf["term"],
@@ -1577,20 +1564,15 @@ def _sig_term_stats(sf_dir: str, fg_lang: str):
     heuristics."""
     from ray.data.aggregate import Sum
 
-    from ..analysis.tokenizer import tokenize_batch_arrow
+    from ..analysis.tokenizer import term_tf, tokenize_batch_arrow
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "text", "lang"])
 
     def partial(t: pa.Table) -> pa.Table:
         row_idx, toks, _ = tokenize_batch_arrow(t["text"])
-        enc = toks.dictionary_encode()
-        if isinstance(enc, pa.ChunkedArray):
-            enc = enc.combine_chunks()
-        codes = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-        nv = max(1, len(enc.dictionary))
-        uniq = np.unique(row_idx * nv + codes)
-        rows = uniq // nv
-        terms = enc.dictionary.take(pa.array(uniq % nv))
+        tt = term_tf(toks, row_idx)
+        rows = tt.rows
+        terms = tt.enc.dictionary.take(pa.array(tt.terms))
         is_fg = pc.equal(t["lang"], fg_lang).to_numpy(
             zero_copy_only=False)[rows].astype(np.int64)
         part = pa.table({"term": terms, "fg": pa.array(is_fg)})
@@ -1697,7 +1679,8 @@ def q_significant_text(sf_dir: str):
     import ray
     from ray.data.aggregate import Sum
 
-    from ..analysis.tokenizer import tokenize_batch_arrow
+    from ..analysis.tokenizer import (rows_with_any, term_tf,
+                                      tokenize_batch_arrow)
 
     min_fg_df = 3
     qset = set(BM25_QUERY_TEXT.split())
@@ -1735,21 +1718,12 @@ def q_significant_text(sf_dir: str):
                              "nrows": pa.array([], pa.int64()),
                              "nfg": pa.array([], pa.int64())})
         row_idx, toks, _ = tokenize_batch_arrow(t["text"])
-        enc = toks.dictionary_encode()
-        if isinstance(enc, pa.ChunkedArray):
-            enc = enc.combine_chunks()
-        codes = enc.indices.to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
-        nv = max(1, len(enc.dictionary))
-        uniq = np.unique(row_idx * nv + codes)
-        rows = uniq // nv
-        terms = enc.dictionary.take(pa.array(uniq % nv))
+        tt = term_tf(toks, row_idx)
+        rows = tt.rows
+        terms = tt.enc.dictionary.take(pa.array(tt.terms))
         # foreground rows: any (row, term) pair whose term is a query
         # term marks its row
-        is_q = pc.is_in(terms, value_set=pa.array(sorted(qset))) \
-            .to_numpy(zero_copy_only=False)
-        fg_rows = np.zeros(t.num_rows, dtype=bool)
-        fg_rows[rows[is_q]] = True
+        fg_rows = rows_with_any(rows, terms, sorted(qset), t.num_rows)
         part = pa.table({"term": terms,
                          "fg": pa.array(fg_rows[rows].astype(np.int64))})
         agg = part.group_by("term").aggregate(
@@ -1775,10 +1749,7 @@ def q_significant_text(sf_dir: str):
         if t.num_rows == 0:
             return pa.table({"c": pa.array([0], pa.int64())})
         row_idx, toks, _ = tokenize_batch_arrow(t["text"])
-        is_q = pc.is_in(toks, value_set=pa.array(sorted(qset))) \
-            .to_numpy(zero_copy_only=False)
-        fg_rows = np.zeros(t.num_rows, dtype=bool)
-        fg_rows[row_idx[is_q]] = True
+        fg_rows = rows_with_any(row_idx, toks, sorted(qset), t.num_rows)
         return pa.table({"c": pa.array([int(fg_rows.sum())],
                                        pa.int64())})
 
@@ -1898,11 +1869,20 @@ def _write_key_chunks(src, boundaries, work: str, names) -> list[str]:
 
     src.map_batches(assign, batch_format="pyarrow") \
         .write_parquet(work, partition_cols=["chunk"])
-    paths = []
-    for name in names:
-        p = os.path.join(work, f"chunk={name}")
-        os.makedirs(p, exist_ok=True)  # empty chunks still get a dir
-        paths.append(p)
+    import pyarrow.dataset as pa_ds
+    import pyarrow.parquet as pq
+
+    # hive partitioning left the chunk column out of the files, so any
+    # written file's schema is the source schema
+    schema = pa_ds.dataset(work, format="parquet").schema
+    paths = [os.path.join(work, f"chunk={name}") for name in names]
+    for p in paths:
+        # an empty key range writes no file, and read_parquet refuses a
+        # directory without one: give it a zero-row file
+        if not os.path.isdir(p) or not os.listdir(p):
+            os.makedirs(p, exist_ok=True)
+            pq.write_table(schema.empty_table(),
+                           os.path.join(p, "empty.parquet"))
     return paths
 
 
@@ -2369,8 +2349,8 @@ def q_analyze_categorize(sf_dir: str):
     fixed-size real data."""
     from ..analyze import categorize_files
 
-    out = categorize_files(
-        [os.path.join(REF_SAMPLE_LOGS, "linux-2k.log")], top=20)
+    out = categorize_files(list(_require_inputs("analyze_categorize")),
+                           top=20)
     return pa.table({
         "category": pa.array([r["category"]
                               for r in out["top_categories"]],
@@ -3393,7 +3373,8 @@ def scroll_export(eng, text: str, outdir: str,
     import ray
     import ray.data as rd
 
-    from ..analysis.tokenizer import tokenize_batch_arrow, tokenize_py
+    from ..analysis.tokenizer import (rows_with_any, tokenize_batch_arrow,
+                                      tokenize_py)
 
     terms = sorted(set(tokenize_py(
         text, int(eng.stats["max_token_len"]))))
@@ -3431,11 +3412,7 @@ def scroll_export(eng, text: str, outdir: str,
 
         def keep_scan(t: pa.Table) -> pa.Table:
             row_idx, toks, _ = tokenize_batch_arrow(t["content"])
-            hit = np.zeros(t.num_rows, dtype=bool)
-            for term in terms:
-                rows = row_idx[pc.equal(toks, term)
-                               .to_numpy(zero_copy_only=False)]
-                hit[np.unique(rows)] = True
+            hit = rows_with_any(row_idx, toks, terms, t.num_rows)
             tomb = ray.get(tomb_ref)
             if tomb.size:
                 d = t["doc_id"].to_numpy(zero_copy_only=False)
@@ -6971,6 +6948,32 @@ def _syslog_stats_rollup(parsed) -> pa.Table:
 
 REF_SAMPLE_LOGS = "/root/reference/sample-logs"
 
+# registry entries that read files from outside the sf fixture:
+# name -> required paths. Each such entry checks its paths before any
+# Ray plan starts, and the oracle tests skip it while they are absent.
+EXTERNAL_INPUTS: dict[str, tuple[str, ...]] = {
+    "analyze_linux2k": (os.path.join(REF_SAMPLE_LOGS, "linux-2k.log"),),
+    "analyze_apache100": (os.path.join(REF_SAMPLE_LOGS, "apache-100.log"),),
+    "analyze_categorize": (os.path.join(REF_SAMPLE_LOGS, "linux-2k.log"),),
+}
+
+
+def missing_inputs(name: str) -> list[str]:
+    """The declared external inputs of entry ``name`` that are absent."""
+    return [p for p in EXTERNAL_INPUTS.get(name, ())
+            if not os.path.exists(p)]
+
+
+def _require_inputs(name: str) -> tuple[str, ...]:
+    """Entry ``name``'s external input paths; FileNotFoundError naming
+    the first absent one."""
+    missing = missing_inputs(name)
+    if missing:
+        raise FileNotFoundError(
+            f"queries()[{name!r}] needs {missing[0]}, which is not present"
+            " (an external input, not part of the sf fixture)")
+    return EXTERNAL_INPUTS[name]
+
 
 def q_analyze_linux2k(sf_dir: str):
     """END-TO-END parity over the reference's OWN corpus: the real
@@ -6989,7 +6992,8 @@ def q_analyze_linux2k(sf_dir: str):
 
     from ..stages.syslog import parse_syslog
 
-    ds = rd.read_text(os.path.join(REF_SAMPLE_LOGS, "linux-2k.log"))
+    [path] = _require_inputs("analyze_linux2k")
+    ds = rd.read_text(path)
     parsed = ds.map_batches(
         lambda t: parse_syslog(t, line_col="text"),
         batch_format="pyarrow")
@@ -7009,7 +7013,8 @@ def q_analyze_apache100(sf_dir: str):
 
     from ..stages.errorlog import parse_error_log
 
-    ds = rd.read_text(os.path.join(REF_SAMPLE_LOGS, "apache-100.log"))
+    [path] = _require_inputs("analyze_apache100")
+    ds = rd.read_text(path)
 
     def proj(t: pa.Table) -> pa.Table:
         p = parse_error_log(t, line_col="text")

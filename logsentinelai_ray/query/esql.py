@@ -377,6 +377,30 @@ def _arr(v, n: int):
     return v
 
 
+# the Java date-pattern fields DATE_FORMAT / DATE_PARSE support, with
+# their strftime/strptime equivalents
+_DATE_FIELDS = {"yyyy": "%Y", "MM": "%m", "dd": "%d", "HH": "%H",
+                "mm": "%M", "ss": "%S"}
+_DATE_TOKEN_RE = re.compile(r"yyyy|MM|dd|HH|mm|ss|.", re.S)
+
+
+def _strftime_pattern(pat: str) -> str:
+    """Translate a Java date pattern to strftime in one left-to-right
+    longest-match scan. Non-letters are literals; an ASCII letter
+    outside ``yyyy MM dd HH mm ss`` raises ValueError."""
+    out = []
+    for tok in _DATE_TOKEN_RE.findall(pat):
+        if tok in _DATE_FIELDS:
+            out.append(_DATE_FIELDS[tok])
+        elif tok.isascii() and tok.isalpha():
+            raise ValueError(
+                f"ES|QL: unsupported date pattern letter {tok!r} in "
+                f"{pat!r} (supported: yyyy MM dd HH mm ss)")
+        else:
+            out.append("%%" if tok == "%" else tok)
+    return "".join(out)
+
+
 def eval_expr(e, t: pa.Table):
     """Evaluate an expression AST against a batch — pyarrow.compute
     kernels only, no per-row Python."""
@@ -626,11 +650,7 @@ def eval_expr(e, t: pa.Table):
             if not isinstance(e.args[0], Lit):
                 raise ValueError(
                     "ES|QL: DATE_FORMAT pattern must be a literal")
-            pat = e.args[0].value
-            for java, c_ in (("yyyy", "%Y"), ("MM", "%m"),
-                             ("dd", "%d"), ("HH", "%H"),
-                             ("mm", "%M"), ("ss", "%S")):
-                pat = pat.replace(java, c_)
+            pat = _strftime_pattern(e.args[0].value)
             # arrow's %S prints fractional seconds; floor to second
             # precision so "ss" means the strftime two-digit field
             v = args[1]
@@ -724,12 +744,9 @@ def eval_expr(e, t: pa.Table):
             if not isinstance(e.args[0], Lit):
                 raise ValueError(
                     "ES|QL: DATE_PARSE pattern must be a literal")
-            pat = e.args[0].value
-            for java, c_ in (("yyyy", "%Y"), ("MM", "%m"),
-                             ("dd", "%d"), ("HH", "%H"),
-                             ("mm", "%M"), ("ss", "%S")):
-                pat = pat.replace(java, c_)
-            return pc.strptime(args[1], format=pat, unit="us",
+            return pc.strptime(args[1],
+                               format=_strftime_pattern(e.args[0].value),
+                               unit="us",
                                error_is_null=True)
         if e.fn in ("GREATEST", "LEAST"):
             # variadic elementwise max/min, null-intolerant (the ES|QL
@@ -838,7 +855,8 @@ def eval_expr(e, t: pa.Table):
             if not isinstance(e.args[1], Lit):
                 raise ValueError(
                     "ES|QL: MATCH query must be a quoted literal")
-            from ..analysis.tokenizer import (tokenize_batch_arrow,
+            from ..analysis.tokenizer import (rows_with_any,
+                                              tokenize_batch_arrow,
                                               tokenize_py)
 
             terms = sorted(set(tokenize_py(e.args[1].value, 64)))
@@ -846,11 +864,7 @@ def eval_expr(e, t: pa.Table):
             if isinstance(col, pa.ChunkedArray):
                 col = col.combine_chunks()
             row_idx, toks, _dl = tokenize_batch_arrow(col, 64)
-            hit = pc.is_in(toks, value_set=pa.array(
-                terms, pa.string())).to_numpy(zero_copy_only=False)
-            out = np.zeros(len(col), dtype=bool)
-            out[row_idx[hit]] = True
-            return pa.array(out)
+            return pa.array(rows_with_any(row_idx, toks, terms, len(col)))
         if e.fn == "MV_COUNT":
             col = args[0]
             if isinstance(col, pa.ChunkedArray):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..index.codec import decode_for_block, decode_for_stream, decode_varint
+from ..index.codec import decode_varint
 from .bm25 import bm25_tf_norm
 
 INF_DOC = np.iinfo(np.int64).max
@@ -22,8 +22,7 @@ class TermPostings:
 
     __slots__ = ("term", "df", "block_first", "block_last", "block_count",
                  "block_max", "doc_off", "tf_off", "dl_off",
-                 "doc_data", "tf_data", "dl_data", "_cache", "id_offset",
-                 "codec")
+                 "doc_data", "tf_data", "dl_data", "_cache", "id_offset")
 
     def __init__(self, row: dict, id_offset: int = 0):
         # id_offset maps member-local doc ids into a federated global id
@@ -44,20 +43,7 @@ class TermPostings:
         self.doc_data = row["doc_data"]
         self.tf_data = row["tf_data"]
         self.dl_data = row["dl_data"]
-        # posting-stream codec (index stats, stamped onto the row by the
-        # shard/driver fetch paths); anything but "bitpack" -> varint,
-        # which keeps pre-codec indexes readable
-        self.codec = row.get("codec", "varint")
         self._cache: tuple[int, tuple] | None = None
-
-    def _decode(self, data, off: np.ndarray, counts: np.ndarray
-                ) -> np.ndarray:
-        """Decode a whole stream slice under this row's codec. ``off``
-        is the block byte-offset array INCLUDING the trailing total,
-        rebased to ``data``'s start; ``counts`` the per-block counts."""
-        if self.codec == "bitpack":
-            return decode_for_stream(data, off, counts)
-        return decode_varint(data)
 
     @property
     def n_blocks(self) -> int:
@@ -66,19 +52,6 @@ class TermPostings:
     def decode_block(self, bi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if self._cache is not None and self._cache[0] == bi:
             return self._cache[1]
-        if self.codec == "bitpack":
-            cnt = int(self.block_count[bi])
-            gaps = decode_for_block(
-                self.doc_data[self.doc_off[bi]:self.doc_off[bi + 1]], cnt)
-            tfs = decode_for_block(
-                self.tf_data[self.tf_off[bi]:self.tf_off[bi + 1]], cnt)
-            dls = decode_for_block(
-                self.dl_data[self.dl_off[bi]:self.dl_off[bi + 1]], cnt)
-            ids = np.cumsum(gaps)
-            if self.id_offset:
-                ids += self.id_offset
-            self._cache = (bi, (ids, tfs, dls))
-            return ids, tfs, dls
         ids = np.cumsum(decode_varint(
             self.doc_data[self.doc_off[bi]:self.doc_off[bi + 1]]))
         if self.id_offset:
@@ -95,9 +68,9 @@ class TermPostings:
         if self.n_blocks == 0:
             z = np.empty(0, dtype=np.int64)
             return z, z, z
-        gaps = self._decode(self.doc_data, self.doc_off, self.block_count)
-        tfs = self._decode(self.tf_data, self.tf_off, self.block_count)
-        dls = self._decode(self.dl_data, self.dl_off, self.block_count)
+        gaps = decode_varint(self.doc_data)
+        tfs = decode_varint(self.tf_data)
+        dls = decode_varint(self.dl_data)
         # per-block cumsum (first value of each block is absolute):
         # c - repeat(c[start] - gap[start]) restarts the sum at each block
         starts = np.zeros(self.n_blocks, dtype=np.int64)
@@ -118,15 +91,12 @@ class TermPostings:
         full decode: cost scales with the bytes actually decoded, not
         with the number of blocks touched."""
         counts = self.block_count[b0:b1 + 1]
-        gaps = self._decode(
-            self.doc_data[self.doc_off[b0]:self.doc_off[b1 + 1]],
-            self.doc_off[b0:b1 + 2] - self.doc_off[b0], counts)
-        tfs = self._decode(
-            self.tf_data[self.tf_off[b0]:self.tf_off[b1 + 1]],
-            self.tf_off[b0:b1 + 2] - self.tf_off[b0], counts)
-        dls = self._decode(
-            self.dl_data[self.dl_off[b0]:self.dl_off[b1 + 1]],
-            self.dl_off[b0:b1 + 2] - self.dl_off[b0], counts)
+        gaps = decode_varint(
+            self.doc_data[self.doc_off[b0]:self.doc_off[b1 + 1]])
+        tfs = decode_varint(
+            self.tf_data[self.tf_off[b0]:self.tf_off[b1 + 1]])
+        dls = decode_varint(
+            self.dl_data[self.dl_off[b0]:self.dl_off[b1 + 1]])
         starts = np.zeros(len(counts), dtype=np.int64)
         np.cumsum(counts[:-1], out=starts[1:])
         c = np.cumsum(gaps)

@@ -193,10 +193,8 @@ class IndexShard:
         # term-sorted (segments.py merge_runs sort_by term), which the
         # constructor asserts before trusting the search.
         self._term_cols: list[pa.Array] = []
-        # posting-stream codec from the index's stats.json (stamped onto
-        # every row this shard hands to TermPostings); legacy descriptive
-        # strings and missing keys both mean varint
-        self.codec = mf.read_stats(index_dir).get("codec", "varint")
+        # refuses an index whose posting format this engine cannot read
+        mf.read_stats(index_dir)
         self.max_resident = max_resident_bytes
         import threading
 
@@ -536,8 +534,7 @@ class IndexShard:
         if loc is None:
             return None
         tbl, i = self._seg_row(loc)
-        row: dict = {"term": term, "df": tbl["df"][i].as_py(),
-                     "codec": self.codec}
+        row: dict = {"term": term, "df": tbl["df"][i].as_py()}
         for f in ("block_first", "block_last", "block_count", "block_max",
                   "block_doc_off", "block_tf_off", "block_dl_off"):
             row[f] = tbl[f][i].values.to_numpy(zero_copy_only=False)
@@ -594,8 +591,7 @@ class IndexShard:
         if loc is None:
             return None
         tbl, i = self._seg_row(loc)
-        row: dict = {"term": term, "df": tbl["df"][i].as_py(),
-                     "codec": self.codec}
+        row: dict = {"term": term, "df": tbl["df"][i].as_py()}
         for f in ("block_first", "block_last", "block_count", "block_max",
                   "block_doc_off", "block_tf_off", "block_dl_off"):
             row[f] = tbl[f][i].values.to_numpy(zero_copy_only=False)
@@ -616,8 +612,7 @@ class IndexShard:
         if loc is None:
             return None
         tbl, i = self._seg_row(loc)
-        row: dict = {"term": term, "df": tbl["df"][i].as_py(),
-                     "codec": self.codec}
+        row: dict = {"term": term, "df": tbl["df"][i].as_py()}
         for f in ("block_first", "block_last", "block_count", "block_max",
                   "block_doc_off", "block_tf_off", "block_dl_off"):
             row[f] = tbl[f][i].values.to_numpy(zero_copy_only=False)
@@ -658,7 +653,6 @@ class SearchEngine:
         self.index_dir = index_dir
         self.stats = mf.read_stats(index_dir)
         self.P = int(self.stats["num_partitions"])
-        self._codec = self.stats.get("codec", "varint")
         # content-field analyzer parity: query terms go through the
         # same stem filter the index was built with (stats["stem"]),
         # or they would miss the stemmed dictionary entirely
@@ -857,8 +851,7 @@ class SearchEngine:
                     # zero-copy numpy views of the block metadata (a hot
                     # term has ~n_docs/block_size entries — materializing
                     # Python lists here dominated first-query latency)
-                    row: dict = {"term": t, "df": tbl["df"][i].as_py(),
-                                 "codec": self._codec}
+                    row: dict = {"term": t, "df": tbl["df"][i].as_py()}
                     for f in ("block_first", "block_last", "block_count",
                               "block_max", "block_doc_off", "block_tf_off",
                               "block_dl_off"):
@@ -968,8 +961,11 @@ class SearchEngine:
         results = list(zip((t for t, _ in futures),
                            ray.get([f for _, f in futures])))
         # evict BEFORE inserting, never mid-round: one query's terms must
-        # all be resident together or TAAT would silently drop a term
-        round_size = sum(r[1].size for _, r in results if r is not None)
+        # all be resident together or TAAT would silently drop a term.
+        # A dense row (df >= n/4) costs n slots on top of its postings.
+        round_size = sum(
+            r[1].size + (n if r[1].size * 4 >= n > 0 else 0)
+            for _, r in results if r is not None)
         if self._contrib_cached + round_size > self._contrib_budget:
             self._contrib_cache.clear()
             self._absent_terms.clear()

@@ -41,6 +41,38 @@ def test_boundary_at_dataset_size_is_supremum(ray_session, tmp_path, n):
         assert b[1] == "r%012d" % (2 * c)
 
 
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_key_chunks_readable_when_empty(ray_session, tmp_path, n):
+    """Both fixture splits (rollover thirds, ILM's [c, 2c]) leave some
+    key ranges empty on a tiny corpus; every chunk directory must still
+    read back through read_parquet, and the chunks partition the
+    corpus."""
+    import ray.data as rd
+
+    from logsentinelai_ray.pipelines.queries import (
+        _corpus_boundary_keys,
+        _corpusify_docs,
+        _read,
+        _write_key_chunks,
+    )
+
+    sf = _tiny_sf(tmp_path, n)
+    c = (n + 2) // 3
+    all_counts = []
+    for i, idxs in enumerate(([n // 3, 2 * n // 3], [c, 2 * c])):
+        src = _read(sf, "documents", columns=["doc_id", "lang", "text"]) \
+            .map_batches(_corpusify_docs, batch_format="pyarrow")
+        b = _corpus_boundary_keys(sf, idxs)
+        chunks = _write_key_chunks(src, b, str(tmp_path / f"w{i}"),
+                                   ["0", "1", "2"])
+        dss = [rd.read_parquet(p) for p in chunks]
+        assert len({tuple(d.schema().names) for d in dss}) == 1
+        counts = [d.count() for d in dss]
+        assert sum(counts) == n, (idxs, counts)
+        all_counts += counts
+    assert 0 in all_counts
+
+
 def test_boundary_keys_match_sorted_ids(ray_session, tmp_path):
     from logsentinelai_ray.pipelines.queries import _corpus_boundary_keys
 

@@ -434,6 +434,43 @@ def test_shard_death_recovers(ray_session, small_index):
         eng.shutdown()
 
 
+def test_contrib_cache_budget_counts_dense_rows(ray_session, small_index):
+    """A round of several hot (df >= n/4, dense-row) terms is charged
+    its dense rows BEFORE the eviction check, so the cache ends the
+    round inside its budget — and the round's terms are all resident."""
+    from logsentinelai_ray.analysis import tokenize_py
+    from logsentinelai_ray.query.shards import SearchEngine
+
+    idx_dir, _ = small_index
+    eng = SearchEngine(idx_dir, num_shards=2, prewarm_hot_terms=0)
+    try:
+        n = int(eng.stats["n_docs"])
+        terms = sorted(set(tokenize_py(" ".join(QUERY_SET))))
+        terms += [f"lang:{lang}" for lang in ("c", "go", "md", "rust")]
+        dfs = {t: r["df"] for t, r in eng._fetch_terms(terms).items()}
+        hot = sorted(t for t, df in dfs.items() if df * 4 >= n)[:3]
+        cold = min((t for t, df in dfs.items() if df * 4 < n),
+                   key=lambda t: dfs[t])
+        assert len(hot) >= 2
+        # the hot round's full cost: postings + one n-slot row per term
+        eng._ensure_contribs(hot)
+        assert set(hot) <= set(eng._dense_rows)
+        round_cost = eng._contrib_cached
+        assert round_cost == sum(dfs[t] for t in hot) + n * len(hot)
+        eng._contrib_cache.clear()
+        eng._dense_rows.clear()
+        eng._contrib_cached = 0
+        # a resident cold term, then a budget that fits the hot round
+        # alone but not on top of it
+        eng._ensure_contribs([cold])
+        eng._contrib_budget = round_cost
+        eng._ensure_contribs(hot)
+        assert eng._contrib_cached <= eng._contrib_budget
+        assert set(hot) <= set(eng._contrib_cache)
+    finally:
+        eng.shutdown()
+
+
 def test_wand_vec_span_windows_and_decoded_cache(engine):
     """Tiny span_cap forces many dense-scratch windows; the decoded
     (ids, contrib) slice path must give identical results to block

@@ -935,6 +935,29 @@ def test_mv_list_manipulators():
         ev(parse_expr("MV_SLICE(v, 2, 1)"), t)
 
 
+def test_date_pattern_translation():
+    """DATE_FORMAT / DATE_PARSE share one longest-match translator:
+    adjacent fields ("MMmm" is month then minute) round-trip, non-letters
+    (including "%") are literals, and a letter outside the supported set
+    raises instead of passing through."""
+    import datetime as dt
+    from logsentinelai_ray.query.esql import eval_expr as ev
+    t = pa.table({"ts": pa.array(
+        [dt.datetime(2024, 3, 5, 7, 42), dt.datetime(2023, 11, 30, 23, 9)],
+        pa.timestamp("us"))})
+    fmt = "yyyy MMmm dd HH"
+    s = ev(parse_expr(f'DATE_FORMAT("{fmt}", ts)'), t)
+    assert s.to_pylist() == ["2024 0342 05 07", "2023 1109 30 23"]
+    back = ev(parse_expr(f'DATE_PARSE("{fmt}", s)'),
+              pa.table({"s": s}))
+    assert back.to_pylist() == t["ts"].to_pylist()
+    pct = ev(parse_expr('DATE_FORMAT("HH:mm 100%", ts)'), t)
+    assert pct.to_pylist() == ["07:42 100%", "23:09 100%"]
+    for fn, arg in (("DATE_FORMAT", "ts"), ("DATE_PARSE", '"2024"')):
+        with pytest.raises(ValueError, match="'Q'"):
+            ev(parse_expr(f'{fn}("yyyy-Q", {arg})'), t)
+
+
 def test_date_diff_parse_greatest_least_categorize():
     """Round-5 scalar tail: DATE_DIFF (complete units, trunc toward
     zero, both signs), DATE_PARSE (Java-pattern subset, bad input ->

@@ -1,10 +1,14 @@
 """Tokenizer golden cases + Arrow/Python equivalence (SURVEY.md §5.2.1)."""
 
+from collections import Counter
+
+import numpy as np
 import pyarrow as pa
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logsentinelai_ray.analysis import tokenize_batch_arrow, tokenize_py
+from logsentinelai_ray.analysis.tokenizer import rows_with_any, term_tf
 
 GOLDEN = {
     "parseHttpRequest": ["parse", "http", "request"],
@@ -56,6 +60,47 @@ def test_arrow_matches_python_property(texts):
         expected = tokenize_py(text)
         assert per_row[i] == expected
         assert dl[i] == len(expected)
+
+
+# words that repeat within a row, split camel/snake case, and share a
+# prefix that token truncation merges ("errorcode"/"errorcodes" at 5)
+_TF_WORDS = ["err", "errorcode", "errorcodes", "x", "HTTPServer",
+             "parseHttp", "a_b", "42"]
+_TF_TEXTS = st.lists(st.one_of(
+    st.just(""),
+    st.text(max_size=60),
+    st.lists(st.sampled_from(_TF_WORDS), max_size=12).map(" ".join)),
+    max_size=16)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_TF_TEXTS, st.sampled_from([3, 5, 64]))
+def test_term_tf_matches_per_row_counter(texts, max_len):
+    """term_tf's distinct (row, term) pairs and tf are exactly a per-row
+    Counter of the reference tokenizer, and its per-occurrence codes
+    decode back to the token stream."""
+    row_idx, toks, _ = tokenize_batch_arrow(pa.array(texts, pa.string()),
+                                            max_len)
+    tt = term_tf(toks, row_idx)
+    vocab = tt.enc.dictionary.to_pylist()
+    got = [Counter() for _ in texts]
+    for r, c, f in zip(tt.rows, tt.terms, tt.tf):
+        assert vocab[c] not in got[r]  # each pair appears once
+        got[r][vocab[c]] = int(f)
+    assert got == [Counter(tokenize_py(t, max_len)) for t in texts]
+    assert [vocab[c] for c in tt.codes] == toks.to_pylist()
+    key = tt.rows * max(1, len(vocab)) + tt.terms
+    assert (np.diff(key) > 0).all()  # pairs in (row, code) order
+
+
+@settings(max_examples=100, deadline=None)
+@given(_TF_TEXTS, st.lists(st.sampled_from(["err", "x", "server", "zz"]),
+                           max_size=3))
+def test_rows_with_any_matches_python(texts, terms):
+    row_idx, toks, _ = tokenize_batch_arrow(pa.array(texts, pa.string()))
+    mask = rows_with_any(row_idx, toks, terms, len(texts))
+    assert mask.tolist() == [bool(set(tokenize_py(t)) & set(terms))
+                             for t in texts]
 
 
 def test_null_content_is_empty():
