@@ -129,14 +129,12 @@ class RolloverIndex:
         return removed
 
     # ------------------------------------------------------------- read
-    def engines(self, num_shards: int = 2) -> list:
+    def engines(self) -> list:
         from ..query.shards import SearchEngine
 
         if self._engines is None:
-            self._engines = [
-                SearchEngine(self._gen_dir(g["name"]),
-                             num_shards=num_shards)
-                for g in self.meta["generations"]]
+            self._engines = [SearchEngine(self._gen_dir(g["name"]))
+                             for g in self.meta["generations"]]
         return self._engines
 
     def search(self, text: str, k: int = 10,

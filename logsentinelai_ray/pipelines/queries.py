@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections import OrderedDict
 
 import numpy as np
 import pyarrow as pa
@@ -1774,7 +1775,31 @@ def q_significant_text(sf_dir: str):
                              ("term", "ascending")])
 
 
-_ENGINE_CACHE: dict = {}
+class _EngineCache(OrderedDict):
+    """The fixture engines of the index-backed entries, least recently
+    used first. Each engine owns shard actor processes (~170 MB each),
+    so the cache holds at most ``cap`` entries and calls ``shutdown()``
+    on what it evicts (a federated or rollover entry shuts down every
+    member engine). A read counts as a use."""
+
+    def __init__(self, cap: int):
+        super().__init__()
+        self.cap = cap
+
+    def __getitem__(self, key):
+        self.move_to_end(key)
+        return super().__getitem__(key)
+
+    def __setitem__(self, key, value):
+        super().__setitem__(key, value)
+        self.move_to_end(key)
+        while len(self) > self.cap:
+            _, old = self.popitem(last=False)
+            if hasattr(old, "shutdown"):
+                old.shutdown()
+
+
+_ENGINE_CACHE = _EngineCache(cap=2)
 BM25_QUERY_TEXT = "error merge spark window"
 
 
@@ -1912,16 +1937,14 @@ def _docs_engine(sf_dir: str):
                       store_positions=True, index_path_field=True,
                       write_norms=True)
     build_index(corpus, idx_dir, cfg, corpus_tag=tag)
-    eng = SearchEngine(idx_dir, num_shards=2)
+    eng = SearchEngine(idx_dir)
     _ENGINE_CACHE[sf_dir] = eng
     return eng
 
 
-def q_bm25_topk_incremental(sf_dir: str):
-    """Build the index on the first half of documents, then APPEND the
-    second half via the incremental delta path (index/update.py) — the
-    result must equal BM25 over the full corpus (stats are updated
-    exactly), so it shares the full-corpus SQL oracle."""
+def _incr_engine(sf_dir: str):
+    """The base + delta engine of the incremental entries (built on a
+    miss): the first half of documents built, the second appended."""
     if ("incr", sf_dir) in _ENGINE_CACHE:
         eng = _ENGINE_CACHE[("incr", sf_dir)]
     else:
@@ -1959,8 +1982,17 @@ def q_bm25_topk_incremental(sf_dir: str):
                           store_positions=True)
         build_index(f"{work}/base", f"{work}/idx", cfg, corpus_tag=tag)
         update_index(f"{work}/delta", f"{work}/idx", cfg, delta_tag=tag)
-        eng = SearchEngine(f"{work}/idx", num_shards=2)
+        eng = SearchEngine(f"{work}/idx")
         _ENGINE_CACHE[("incr", sf_dir)] = eng
+    return eng
+
+
+def q_bm25_topk_incremental(sf_dir: str):
+    """Build the index on the first half of documents, then APPEND the
+    second half via the incremental delta path (index/update.py) — the
+    result must equal BM25 over the full corpus (stats are updated
+    exactly), so it shares the full-corpus SQL oracle."""
+    eng = _incr_engine(sf_dir)
     res = eng.search(BM25_QUERY_TEXT, k=10, with_meta=False)
     return pa.table({"doc_id": res["doc_id"],
                      "score": _round6(res["score"])})
@@ -2013,7 +2045,7 @@ def q_pit_search(sf_dir: str):
         cfg = IndexConfig(num_partitions=8, salt_buckets=4)
         build_index(f"{work}/base", f"{work}/idx", cfg, corpus_tag=tag)
         # open the PIT (reader precedes the write) ...
-        eng = SearchEngine(f"{work}/idx", num_shards=2)
+        eng = SearchEngine(f"{work}/idx")
         # ... then append the delta; the PIT must not see it
         update_index(f"{work}/delta", f"{work}/idx", cfg, delta_tag=tag)
         _ENGINE_CACHE[("pit", sf_dir)] = eng
@@ -2026,9 +2058,7 @@ def q_phrase_match_incremental(sf_dir: str):
     """Phrase search over the base+delta index (positions sidecar
     appended by update_index) — must equal the full-corpus phrase
     oracle, so it shares phrase_match's SQL."""
-    q_bm25_topk_incremental(sf_dir)  # ensure the incremental engine
-    eng = _ENGINE_CACHE[("incr", sf_dir)]
-    return eng.phrase_match(PHRASE_QUERY_TEXT)
+    return _incr_engine(sf_dir).phrase_match(PHRASE_QUERY_TEXT)
 
 
 def q_bm25_topk(sf_dir: str):
@@ -2058,7 +2088,7 @@ def q_bm25_topk_bounded(sf_dir: str):
             os.path.getsize(os.path.join(seg, f))
             for f in os.listdir(seg)) // 8)
         _ENGINE_CACHE[key] = SearchEngine(
-            eng.index_dir, num_shards=2, prewarm_hot_terms=0,
+            eng.index_dir, prewarm_hot_terms=0,
             max_resident_bytes=cap)
     beng = _ENGINE_CACHE[key]
     res = beng.search(BM25_QUERY_TEXT, k=10, with_meta=False)
@@ -2237,13 +2267,9 @@ def q_matrix_stats(sf_dir: str):
     }])
 
 
-def q_federated_search(sf_dir: str):
-    """ES multi-index search with dfs_query_then_fetch global stats
-    (query/federated.py): the documents corpus is split at the median
-    key into TWO separate indexes; one metadata round collects global
-    (N, df, avgdl) and every member scores under them — the federated
-    result is bit-identical to a single merged index, so this shares
-    bm25_topk's SQL oracle."""
+def _fed_engine(sf_dir: str):
+    """The two-member federated engine over documents split at the
+    median key (built on a miss)."""
     import hashlib
     import shutil
 
@@ -2283,9 +2309,20 @@ def q_federated_search(sf_dir: str):
             d = os.path.join(work, name)
             build_index(rd.read_parquet(cdir), d, cfg,
                         corpus_tag=f"{tag}-{name}")
-            members.append(SearchEngine(d, num_shards=2))
+            members.append(SearchEngine(d))
         fed = FederatedSearch(members)
         _ENGINE_CACHE[("fed", sf_dir)] = fed
+    return fed
+
+
+def q_federated_search(sf_dir: str):
+    """ES multi-index search with dfs_query_then_fetch global stats
+    (query/federated.py): the documents corpus is split at the median
+    key into TWO separate indexes; one metadata round collects global
+    (N, df, avgdl) and every member scores under them — the federated
+    result is bit-identical to a single merged index, so this shares
+    bm25_topk's SQL oracle."""
+    fed = _fed_engine(sf_dir)
     res = fed.search(BM25_QUERY_TEXT, k=10)
     return pa.table({"doc_id": res["doc_id"],
                      "score": _round6(res["score"])})
@@ -2388,7 +2425,7 @@ def q_bm25_topk_stopped(sf_dir: str):
         cfg = IndexConfig(num_partitions=8, salt_buckets=4,
                           stop_words=("the", "a"))
         build_index(corpus, idx_dir, cfg, corpus_tag=tag)
-        eng = SearchEngine(idx_dir, num_shards=2)
+        eng = SearchEngine(idx_dir)
         _ENGINE_CACHE[key] = eng
     res = eng.search(BM25_QUERY_TEXT, k=10, with_meta=False)
     return pa.table({"doc_id": res["doc_id"],
@@ -2425,7 +2462,7 @@ def q_bm25_topk_stemmed(sf_dir: str):
         cfg = IndexConfig(num_partitions=8, salt_buckets=4,
                           stem="minimal_english")
         build_index(corpus, idx_dir, cfg, corpus_tag=tag)
-        eng = SearchEngine(idx_dir, num_shards=2)
+        eng = SearchEngine(idx_dir)
         _ENGINE_CACHE[key] = eng
     res = eng.search("errors merges sparks windows", k=10,
                      with_meta=False)
@@ -2451,14 +2488,13 @@ def q_ilm_search(sf_dir: str):
     from ..index.rollover import RolloverIndex
 
     key = ("ilm", sf_dir)
+    c = (_docs_count(sf_dir) + 2) // 3  # the oracle's (count(*) + 2) // 3
     if key in _ENGINE_CACHE:
-        roll, cutoff = _ENGINE_CACHE[key]
+        roll = _ENGINE_CACHE[key]
     else:
         src = _read(sf_dir, "documents",
                     columns=["doc_id", "lang", "text"]) \
             .map_batches(_corpusify_docs, batch_format="pyarrow")
-        n = _docs_count(sf_dir)
-        c = (n + 2) // 3  # == the oracle's (count(*) + 2) // 3
         tag = "documents-ilm#v1:" + sf_dir.rstrip("/")
         work = os.path.join(
             "/tmp/lsai_idx",
@@ -2482,11 +2518,10 @@ def q_ilm_search(sf_dir: str):
             delete_keep_last=2))
         assert acts["delete"] == ["gen-0000"], acts
         assert acts["warm"] == ["gen-0001-warm"], acts
-        cutoff = c
-        _ENGINE_CACHE[key] = (roll, cutoff)
+        _ENGINE_CACHE[key] = roll
     res = roll.search(BM25_QUERY_TEXT, k=10)
     ids = pc.add(pc.cast(res["doc_id"], pa.int64()),
-                 pa.scalar(cutoff, pa.int64()))
+                 pa.scalar(c, pa.int64()))
     return pa.table({"doc_id": ids,
                      "score": _round6(res["score"])})
 
@@ -2498,9 +2533,8 @@ def q_federated_search_wand(sf_dir: str):
     exchange, no sum-of-members-sized accumulator (query/federated.py
     _search_wand). Bit-identical to the merged index, so it shares
     bm25_topk's SQL oracle."""
-    q_federated_search(sf_dir)  # ensure the member engines are cached
-    fed = _ENGINE_CACHE[("fed", sf_dir)]
-    res = fed.search(BM25_QUERY_TEXT, k=10, strategy="wand")
+    res = _fed_engine(sf_dir).search(BM25_QUERY_TEXT, k=10,
+                                     strategy="wand")
     return pa.table({"doc_id": res["doc_id"],
                      "score": _round6(res["score"])})
 
@@ -2654,12 +2688,9 @@ def q_index_stats(sf_dir: str):
     return eng.index_stats()
 
 
-def q_bm25_topk_deleted(sf_dir: str):
-    """ES delete-API analog: tombstone the top-3 docs of the standard
-    query, then re-query — deleted docs vanish, surviving scores are
-    unchanged (stats stay pre-delete until rebuild, the Lucene
-    contract). Runs on a cloned index dir so the shared engine cache
-    stays pristine."""
+def _del_engine(sf_dir: str):
+    """The engine over a clone of the documents index with the top-3
+    docs of the standard query tombstoned (built on a miss)."""
     import shutil
 
     from ..index.delete import delete_docs
@@ -2675,8 +2706,18 @@ def q_bm25_topk_deleted(sf_dir: str):
         shutil.rmtree(clone, ignore_errors=True)
         shutil.copytree(base.index_dir, clone)
         delete_docs(clone, top3)
-        eng = SearchEngine(clone, num_shards=2)
+        eng = SearchEngine(clone)
         _ENGINE_CACHE[("del", sf_dir)] = eng
+    return eng
+
+
+def q_bm25_topk_deleted(sf_dir: str):
+    """ES delete-API analog: tombstone the top-3 docs of the standard
+    query, then re-query — deleted docs vanish, surviving scores are
+    unchanged (stats stay pre-delete until rebuild, the Lucene
+    contract). Runs on a cloned index dir so the shared engine cache
+    stays pristine."""
+    eng = _del_engine(sf_dir)
     res = eng.search(BM25_QUERY_TEXT, k=10, with_meta=False)
     return pa.table({"doc_id": res["doc_id"],
                      "score": _round6(res["score"])})
@@ -2694,8 +2735,7 @@ def q_bm25_topk_rebuilt(sf_dir: str):
     if ("compact", sf_dir) in _ENGINE_CACHE:
         eng = _ENGINE_CACHE[("compact", sf_dir)]
     else:
-        q_bm25_topk_deleted(sf_dir)  # ensure the tombstoned clone
-        src = _ENGINE_CACHE[("del", sf_dir)].index_dir
+        src = _del_engine(sf_dir).index_dir  # the tombstoned clone
         dst = src + "-compact"
         from ..config import IndexConfig
 
@@ -2703,7 +2743,7 @@ def q_bm25_topk_rebuilt(sf_dir: str):
                       IndexConfig(num_partitions=8, salt_buckets=4,
                                   store_positions=True),
                       corpus_tag="compact:" + sf_dir.rstrip("/"))
-        eng = SearchEngine(dst, num_shards=2)
+        eng = SearchEngine(dst)
         _ENGINE_CACHE[("compact", sf_dir)] = eng
     res = eng.search(BM25_QUERY_TEXT, k=10, with_meta=True)
     orig = pa.array([int(r[1:]) for r in res["repo"].to_pylist()],
@@ -3184,7 +3224,7 @@ def q_shrink_search(sf_dir: str):
         base = _docs_engine(sf_dir)
         dst = base.index_dir + "-shrink"
         shrink_index(base.index_dir, dst, factor=2)
-        eng = SearchEngine(dst, num_shards=2)
+        eng = SearchEngine(dst)
         _ENGINE_CACHE[("shrink", sf_dir)] = eng
     res = eng.search(BM25_QUERY_TEXT, k=10, with_meta=False)
     return pa.table({"doc_id": res["doc_id"],
@@ -3286,7 +3326,7 @@ def q_ccr_follow(sf_dir: str):
         # segment parts only — test_ccr.py pins the plan contents)
         assert catchup["copied"] > 0
         assert boot["copied"] > 0
-        eng = SearchEngine(f"{work}/follower", num_shards=2)
+        eng = SearchEngine(f"{work}/follower")
         _ENGINE_CACHE[("ccr", sf_dir)] = eng
     res = eng.search(BM25_QUERY_TEXT, k=10, with_meta=False)
     return pa.table({"doc_id": res["doc_id"],
@@ -3309,7 +3349,7 @@ def q_split_search(sf_dir: str):
         base = _docs_engine(sf_dir)
         dst = base.index_dir + "-split"
         split_index(base.index_dir, dst, factor=2)
-        eng = SearchEngine(dst, num_shards=2)
+        eng = SearchEngine(dst)
         _ENGINE_CACHE[("split", sf_dir)] = eng
     res = eng.search(BM25_QUERY_TEXT, k=10, with_meta=False)
     return pa.table({"doc_id": res["doc_id"],
@@ -3331,7 +3371,7 @@ def q_snapshot_restore(sf_dir: str):
         base = _docs_engine(sf_dir)
         dst = base.index_dir + "-snap"
         snapshot_index(base.index_dir, dst)
-        eng = SearchEngine(dst, num_shards=2)
+        eng = SearchEngine(dst)
         _ENGINE_CACHE[("snap", sf_dir)] = eng
     res = eng.search(BM25_QUERY_TEXT, k=10, with_meta=False)
     return pa.table({"doc_id": res["doc_id"],
@@ -4425,7 +4465,7 @@ def q_clean_corpus_search(sf_dir: str):
         build_index(corpus, idx_dir,
                     IndexConfig(num_partitions=8, salt_buckets=4),
                     corpus_tag=tag)
-        eng = SearchEngine(idx_dir, num_shards=2)
+        eng = SearchEngine(idx_dir)
         _ENGINE_CACHE[("clean", sf_dir)] = eng
     res = eng.search(BM25_QUERY_TEXT, k=10, with_meta=True)
     orig = pa.array([int(r[1:]) for r in res["repo"].to_pylist()],
@@ -8431,16 +8471,9 @@ def q_security_detections(sf_dir: str):
                                 preserve_index=False)
 
 
-def q_update_by_query(sf_dir: str):
-    """ES ``_update_by_query`` analog: every doc matching 'merge' gets
-    lang rewritten to 'xx' — executed the way immutable segments force
-    ES/Lucene to execute it: tombstone the old versions, append the
-    rewritten docs as a delta (a bumped commit key = the new document
-    version), exactly delete+reindex. Runs on a cloned index; the
-    result set is the docs now carrying lang 'xx', mapped back to
-    source ids through the repo key. Lang-filtered search reflecting
-    the update (xx finds them, en no longer does) is pinned in
-    test_incremental.py."""
+def _ubq_engine(sf_dir: str):
+    """The engine over a clone of the documents index whose 'merge'
+    docs were re-indexed with lang 'xx' (built on a miss)."""
     import shutil
 
     import pyarrow.parquet as pq
@@ -8482,8 +8515,22 @@ def q_update_by_query(sf_dir: str):
         pq.write_table(upd, delta)
         delete_docs(clone, ids.tolist())
         update_index([delta], clone, delta_tag="ubq")
-        eng = SearchEngine(clone, num_shards=2)
+        eng = SearchEngine(clone)
         _ENGINE_CACHE[("ubq", sf_dir)] = eng
+    return eng
+
+
+def q_update_by_query(sf_dir: str):
+    """ES ``_update_by_query`` analog: every doc matching 'merge' gets
+    lang rewritten to 'xx' — executed the way immutable segments force
+    ES/Lucene to execute it: tombstone the old versions, append the
+    rewritten docs as a delta (a bumped commit key = the new document
+    version), exactly delete+reindex. Runs on a cloned index; the
+    result set is the docs now carrying lang 'xx', mapped back to
+    source ids through the repo key. Lang-filtered search reflecting
+    the update (xx finds them, en no longer does) is pinned in
+    test_incremental.py."""
+    eng = _ubq_engine(sf_dir)
     new_ids = eng._filter_ids({"lang": "xx"})
     new_ids = eng._drop_tombstones(np.sort(new_ids))
     meta = eng._join_docmap([int(d) for d in new_ids])

@@ -170,6 +170,11 @@ class FederatedSearch:
             "doc_id": pa.array([d for d, _ in topk], pa.int64()),
             "score": pa.array([s for _, s in topk], pa.float64())})
 
+    def shutdown(self) -> None:
+        """Shut down every member engine."""
+        for e in self.engines:
+            e.shutdown()
+
     @staticmethod
     def _empty() -> pa.Table:
         return pa.table({"rank": pa.array([], pa.int64()),

@@ -144,8 +144,56 @@ def _damerau_leq(a: str, b: str, k: int) -> bool:
     return d[la + 1][lb + 1] <= k
 
 
+# shard pool sizing: an IndexShard process costs ~195 MB of RSS while
+# holding 0.7 MB of segments (4 shards over an 8k-doc index), so a
+# default engine starts one process per SHARD_SEGMENT_BYTES of segments
+# instead of a fixed count — sized by bytes, as Elasticsearch sizes its
+# shards. Why 4 MiB and not 16: each shard prewarms its own top
+# prewarm_hot_terms terms, so fewer shards prewarm fewer terms; on a
+# 40k-doc index (15.6 MB of segments) one shard prewarmed 18 of the 36
+# terms of a 17-template hot mix against 33 for four, and its first pass
+# over the templates took 135-207 ms against 62-108 ms
+SHARD_SEGMENT_BYTES = 4 << 20
+MAX_SHARDS = 4
+
+
+def shard_count(index_dir: str, num_partitions: int,
+                num_shards: int | None = None) -> int:
+    """IndexShard processes for an engine over ``index_dir``: an explicit
+    ``num_shards`` (capped at the partition count), else
+    ``ceil(segment bytes / SHARD_SEGMENT_BYTES)`` clamped to
+    ``[1, min(MAX_SHARDS, num_partitions)]``, where segment bytes sums
+    the ``segments/part-*.parquet`` files."""
+    if num_shards:
+        return min(num_shards, num_partitions)
+    seg = os.path.join(index_dir, "segments")
+    size = sum(e.stat().st_size for e in os.scandir(seg)
+               if e.name.startswith("part-")
+               and e.name.endswith(".parquet")) \
+        if os.path.isdir(seg) else 0
+    return max(1, min(-(-size // SHARD_SEGMENT_BYTES), MAX_SHARDS,
+                      num_partitions))
+
+
+_BLOCK_FIELDS = ("block_first", "block_last", "block_count", "block_max",
+                 "block_doc_off", "block_tf_off", "block_dl_off")
+
+
+def _posting_row(tbl: pa.Table, i: int) -> dict:
+    """Row ``i`` of a segment table as a ``TermPostings`` row: zero-copy
+    numpy views of the block metadata (a hot term has ~n_docs/block_size
+    entries — materializing Python lists here dominated first-query
+    latency) and the three posting streams as bytes."""
+    row: dict = {"term": tbl["term"][i].as_py(), "df": tbl["df"][i].as_py()}
+    for f in _BLOCK_FIELDS:
+        row[f] = tbl[f][i].values.to_numpy(zero_copy_only=False)
+    for f in ("doc_data", "tf_data", "dl_data"):
+        row[f] = tbl[f][i].as_py()
+    return row
+
+
 @ray.remote(num_cpus=0, max_concurrency=4, max_restarts=2,
-            max_task_retries=2)
+            max_task_retries=2, concurrency_groups={"prewarm": 2})
 class IndexShard:
     # max_restarts/max_task_retries: shards are pure readers of immutable
     # segment files (constructor args are plain strings, reloadable from
@@ -160,9 +208,15 @@ class IndexShard:
     # scheduler cannot meter anyway; placement at target scale is by
     # memory, not CPU. max_concurrency=4: every method is read-only
     # after __init__ (tables + term_index are immutable), so a threaded
-    # actor lets an on-demand decode_term run instead of queueing behind
-    # the speculative prewarm backlog (numpy decode releases the GIL for
-    # its vectorized passes).
+    # actor lets an on-demand decode_term run (numpy decode releases the
+    # GIL for its vectorized passes). concurrency_groups: the engine
+    # sends its speculative prewarm decodes through the 2-thread
+    # "prewarm" group, so on-demand calls keep the default group's 4
+    # threads and never queue behind that backlog (measured on a 4-CPU
+    # host with a threaded actor: a call behind 40 queued 50 ms calls
+    # returned in ~506 ms in one group, in 1.3-2.0 ms with the backlog in
+    # its own group) — which matters most when one shard serves a small
+    # index.
     """Owns the segment files of a set of term partitions.
 
     ``max_resident_bytes`` — bounded-memory serving mode (the 100-TB
@@ -193,8 +247,11 @@ class IndexShard:
         # term-sorted (segments.py merge_runs sort_by term), which the
         # constructor asserts before trusting the search.
         self._term_cols: list[pa.Array] = []
+        # a term lives only in partition term_partition(term, P), so a
+        # bounded lookup searches that partition's table alone
+        self._part_table: dict[int, int] = {}
         # refuses an index whose posting format this engine cannot read
-        mf.read_stats(index_dir)
+        self.P = int(mf.read_stats(index_dir)["num_partitions"])
         self.max_resident = max_resident_bytes
         import threading
 
@@ -216,6 +273,7 @@ class IndexShard:
             if not os.path.exists(path):
                 continue
             ti = len(self.tables)
+            self._part_table[p] = ti
             if self.max_resident is None:
                 tbl = pq.read_table(path)
             else:
@@ -249,22 +307,25 @@ class IndexShard:
 
     def _lookup(self, term: str):
         """(table, row) of ``term`` or None. Default mode: one dict
-        get. Bounded mode: binary search per sorted resident term
-        column — O(log vocab) scalar compares against O(1) dict time,
-        irrelevant next to posting decode, for a ~10x smaller
-        dictionary residency."""
+        get. Bounded mode: binary search of the sorted resident term
+        column of the one partition the term hashes to — O(log vocab)
+        scalar compares against O(1) dict time, irrelevant next to
+        posting decode, for a ~10x smaller dictionary residency."""
         if self.max_resident is None:
             return self.term_index.get(term)
-        for ti, col in enumerate(self._term_cols):
-            lo, hi = 0, len(col)
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if col[mid].as_py() < term:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            if lo < len(col) and col[lo].as_py() == term:
-                return (ti, lo)
+        ti = self._part_table.get(term_partition(term, self.P))
+        if ti is None:
+            return None
+        col = self._term_cols[ti]
+        lo, hi = 0, len(col)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if col[mid].as_py() < term:
+                lo = mid + 1
+            else:
+                hi = mid
+        if lo < len(col) and col[lo].as_py() == term:
+            return (ti, lo)
         return None
 
     def _rg_table(self, ti: int, rg: int) -> pa.Table:
@@ -516,6 +577,13 @@ class IndexShard:
         pairs.sort(reverse=True)
         return [t for _, t in pairs[:top_n] if ":" not in t]
 
+    def _postings(self, term: str) -> TermPostings | None:
+        """One term's segment row as ``TermPostings``, or None."""
+        loc = self._lookup(term)
+        if loc is None:
+            return None
+        return TermPostings(_posting_row(*self._seg_row(loc)))
+
     def decode_term(self, term: str, n_docs: int, k1: float, b: float,
                     avgdl: float, idf_override: float | None = None):
         """Shard-side TAAT decode: (df, doc_ids, idf*tf_norm) for one
@@ -530,17 +598,9 @@ class IndexShard:
         local-df one — federated search passes the GLOBAL idf so the
         contribution's expression tree is identical to a single merged
         index's (query/federated.py)."""
-        loc = self._lookup(term)
-        if loc is None:
+        tp = self._postings(term)
+        if tp is None:
             return None
-        tbl, i = self._seg_row(loc)
-        row: dict = {"term": term, "df": tbl["df"][i].as_py()}
-        for f in ("block_first", "block_last", "block_count", "block_max",
-                  "block_doc_off", "block_tf_off", "block_dl_off"):
-            row[f] = tbl[f][i].values.to_numpy(zero_copy_only=False)
-        for f in ("doc_data", "tf_data", "dl_data"):
-            row[f] = tbl[f][i].as_py()
-        tp = TermPostings(row)
         idf = (idf_override if idf_override is not None
                else bm25_idf(n_docs, int(tp.df)))
         ids, tfs, dls = tp.decode_all()
@@ -587,17 +647,10 @@ class IndexShard:
         covering the doc yields its feature value, decoded where the
         compressed row lives (ES rank_feature over a doc-values field,
         posting-style)."""
-        loc = self._lookup(term)
-        if loc is None:
+        tp = self._postings(term)
+        if tp is None:
             return None
-        tbl, i = self._seg_row(loc)
-        row: dict = {"term": term, "df": tbl["df"][i].as_py()}
-        for f in ("block_first", "block_last", "block_count", "block_max",
-                  "block_doc_off", "block_tf_off", "block_dl_off"):
-            row[f] = tbl[f][i].values.to_numpy(zero_copy_only=False)
-        for f in ("doc_data", "tf_data", "dl_data"):
-            row[f] = tbl[f][i].as_py()
-        ids, _tfs, dls = TermPostings(row).decode_all()
+        ids, _tfs, dls = tp.decode_all()
         return ids, dls.astype(np.float64)
 
     def decode_raw(self, term: str):
@@ -608,18 +661,11 @@ class IndexShard:
         zero-copy through the object store and the caller applies its
         own weight expression, so one posting format serves every
         scoring model without re-decoding on the driver."""
-        loc = self._lookup(term)
-        if loc is None:
+        tp = self._postings(term)
+        if tp is None:
             return None
-        tbl, i = self._seg_row(loc)
-        row: dict = {"term": term, "df": tbl["df"][i].as_py()}
-        for f in ("block_first", "block_last", "block_count", "block_max",
-                  "block_doc_off", "block_tf_off", "block_dl_off"):
-            row[f] = tbl[f][i].values.to_numpy(zero_copy_only=False)
-        for f in ("doc_data", "tf_data", "dl_data"):
-            row[f] = tbl[f][i].as_py()
-        ids, tfs, dls = TermPostings(row).decode_all()
-        return (int(row["df"]), ids, tfs.astype(np.float64),
+        ids, tfs, dls = tp.decode_all()
+        return (int(tp.df), ids, tfs.astype(np.float64),
                 dls.astype(np.float64))
 
 
@@ -636,6 +682,15 @@ class SearchEngine:
       per query than doc-at-a-time when the accumulator fits memory.
     - **Block-max WAND** (the 10^12-doc scale path): doc-at-a-time with
       skip/block-max pruning; no N-sized state.
+
+    ``num_shards`` — IndexShard processes to start. Left unset, the pool
+    is sized to the index (``shard_count``): one process per
+    ``SHARD_SEGMENT_BYTES`` (4 MiB) of on-disk segments, at least one
+    and at most ``min(MAX_SHARDS, num_partitions)`` — one process for a
+    small index, since a shard actor costs ~195 MB of RSS however few
+    segment bytes it holds. A given ``num_shards`` is used as is (capped
+    at the partition count). Results are bit-identical for every shard
+    count.
     """
 
     def __init__(self, index_dir: str, num_shards: int | None = None,
@@ -662,7 +717,7 @@ class SearchEngine:
         # list fits a sane per-term budget; hotter terms (df beyond
         # this) always go through selective block decode — see search()
         self._WAND_CACHE_MAX_DF = 5_000_000
-        n_shards = min(num_shards or 4, self.P)
+        n_shards = shard_count(index_dir, self.P, num_shards)
         # round-robin parts over shards
         assignment: list[list[int]] = [[] for _ in range(n_shards)]
         for p in range(self.P):
@@ -739,9 +794,12 @@ class SearchEngine:
             hot = ray.get([s.hot_terms.remote(prewarm_hot_terms)
                            for s in self.shards])
             for shard, terms in zip(self.shards, hot):
+                # the shard's "prewarm" group: on-demand decodes keep the
+                # default group's threads (see IndexShard)
+                decode = shard.decode_term.options(
+                    concurrency_group="prewarm")
                 for t in terms:
-                    self._pending[t] = shard.decode_term.remote(
-                        t, n, k1, b, avgdl)
+                    self._pending[t] = decode.remote(t, n, k1, b, avgdl)
 
     def cache_stats(self) -> dict:
         """Aggregate bounded-memory residency counters across shards
@@ -751,9 +809,13 @@ class SearchEngine:
             else {}
 
     def shutdown(self) -> None:
+        """Kill the shard actors and drop every handle to them and to
+        their pending prewarm results; a second call does nothing."""
         for s in self.shards:
             ray.kill(s)
         self.shards = []
+        self.part_to_shard = {}
+        self._pending.clear()
         if self._score_pool is not None:
             self._score_pool.shutdown(wait=False)
             self._score_pool = None
@@ -847,19 +909,9 @@ class SearchEngine:
             for tbl in ray.get(futures):
                 if tbl is None:
                     continue
-                for i, t in enumerate(tbl["term"].to_pylist()):
-                    # zero-copy numpy views of the block metadata (a hot
-                    # term has ~n_docs/block_size entries — materializing
-                    # Python lists here dominated first-query latency)
-                    row: dict = {"term": t, "df": tbl["df"][i].as_py()}
-                    for f in ("block_first", "block_last", "block_count",
-                              "block_max", "block_doc_off", "block_tf_off",
-                              "block_dl_off"):
-                        row[f] = tbl[f][i].values.to_numpy(
-                            zero_copy_only=False)
-                    for f in ("doc_data", "tf_data", "dl_data"):
-                        row[f] = tbl[f][i].as_py()
-                    fetched[t] = row
+                for i in range(tbl.num_rows):
+                    row = _posting_row(tbl, i)
+                    fetched[row["term"]] = row
             if len(self._term_cache) + len(missing) > self._term_cache_size:
                 self._term_cache.clear()
             for t in missing:

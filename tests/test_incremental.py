@@ -260,15 +260,15 @@ def test_update_by_query_search_reflects_update(ray_session):
     """After _update_by_query (delete + reindex new version), a
     lang-filtered search finds the updated docs under the NEW value and
     no longer under the old one; content is preserved."""
-    from logsentinelai_ray.pipelines.queries import (_ENGINE_CACHE,
-                                                     _docs_engine,
+    from logsentinelai_ray.pipelines.queries import (_docs_engine,
+                                                     _ubq_engine,
                                                      q_update_by_query)
 
     sf = "/root/testdata/sf0.001"
     upd = q_update_by_query(sf)
     src_ids = set(upd["doc_id"].to_pylist())
     assert src_ids
-    eng = _ENGINE_CACHE[("ubq", sf)]
+    eng = _ubq_engine(sf)
     base = _docs_engine(sf)
     # every updated doc matches 'merge' under lang:xx in the clone
     res = eng.constant_score_search("merge", filters={"lang": "xx"},

@@ -1,0 +1,223 @@
+"""Shard-pool sizing (query/shards.py ``shard_count``): a default engine
+starts one IndexShard process per SHARD_SEGMENT_BYTES of segments. Every
+query path must give bit-identical results for the default and for any
+explicit shard count — the count only moves where postings live."""
+
+import os
+
+import numpy as np
+import pytest
+import ray
+
+from logsentinelai_ray.index.build import term_partition
+from logsentinelai_ray.query.shards import (MAX_SHARDS, SHARD_SEGMENT_BYTES,
+                                            SearchEngine, shard_count)
+from tests.conftest import QUERY_SET
+
+SHARD_COUNTS = [None, 1, 2, 4]
+FILTERS = [None, {"lang": "python"}, {"repo": "org1/repo1"},
+           {"lang": "no_such_lang"}]
+
+
+def _pairs(tbl):
+    return list(zip(tbl["doc_id"].to_pylist(), tbl["score"].to_pylist()))
+
+
+def _segments(tmp_path, sizes: dict) -> str:
+    """An index dir whose ``segments/`` holds sparse files of the given
+    sizes (only the sizes matter to the sizing rule)."""
+    seg = tmp_path / "segments"
+    seg.mkdir()
+    for name, size in sizes.items():
+        with open(seg / name, "wb") as f:
+            f.truncate(size)
+    return str(tmp_path)
+
+
+def test_shard_count_tiny_index_is_one_shard(tmp_path, small_index):
+    assert shard_count(str(tmp_path), 8) == 1          # no segments dir
+    assert shard_count(_segments(tmp_path, {"part-0000.parquet": 1024}),
+                       8) == 1
+    idx_dir, cfg = small_index
+    assert shard_count(idx_dir, cfg.num_partitions) == 1
+
+
+@pytest.mark.parametrize("total,parts,want", [
+    (SHARD_SEGMENT_BYTES, 8, 1),
+    (SHARD_SEGMENT_BYTES + 1, 8, 2),
+    (3 * SHARD_SEGMENT_BYTES, 8, 3),
+    (100 * SHARD_SEGMENT_BYTES, 8, MAX_SHARDS),     # capped at MAX_SHARDS
+    (100 * SHARD_SEGMENT_BYTES, 2, 2),              # capped at P
+])
+def test_shard_count_by_segment_bytes(tmp_path, total, parts, want):
+    # the bytes split over the part files, plus files the rule ignores
+    sizes = {f"part-{p:04d}.parquet": total // parts for p in range(parts)}
+    sizes["part-0000.parquet"] += total % parts
+    sizes["_SUCCESS"] = 50 * SHARD_SEGMENT_BYTES
+    sizes["stats-0000.json"] = 50 * SHARD_SEGMENT_BYTES
+    assert shard_count(_segments(tmp_path, sizes), parts) == want
+
+
+def test_shard_count_explicit_wins(tmp_path):
+    tiny = _segments(tmp_path, {"part-0000.parquet": 10})
+    assert shard_count(tiny, 8, num_shards=3) == 3
+    assert shard_count(tiny, 8, num_shards=16) == 8    # capped at P
+
+
+def test_default_engine_follows_the_rule(small_index):
+    idx_dir, cfg = small_index
+    eng = SearchEngine(idx_dir, prewarm_hot_terms=0)
+    try:
+        assert len(eng.shards) == shard_count(idx_dir, cfg.num_partitions)
+        assert set(eng.part_to_shard) == set(range(cfg.num_partitions))
+    finally:
+        eng.shutdown()
+        eng.shutdown()                       # idempotent
+    assert eng.shards == [] and eng.part_to_shard == {}
+    assert eng._pending == {}
+
+
+@pytest.fixture(scope="module", params=SHARD_COUNTS,
+                ids=lambda n: f"shards={n or 'default'}")
+def sized_engine(request, small_index):
+    idx_dir, _cfg = small_index
+    eng = SearchEngine(idx_dir, num_shards=request.param)
+    yield eng
+    eng.shutdown()
+
+
+def test_search_over_shard_counts(sized_engine, oracle):
+    """Rank identity vs the oracle (ids and bit-identical scores) for
+    TAAT and WAND, unfiltered and filtered — so TAAT ≡ WAND and every
+    shard count gives the same answer."""
+    for query in QUERY_SET:
+        for k in (1, 10, 100):
+            exp = oracle.search(query, k=k)
+            for strategy in ("taat", "wand"):
+                got = _pairs(sized_engine.search(
+                    query, k=k, with_meta=False, strategy=strategy))
+                assert got == exp, (query, k, strategy)
+    for flt in FILTERS[1:]:
+        for query in ("error", "select union passwd"):
+            exp = oracle.search(query, k=20, filters=flt)
+            for strategy in ("taat", "wand"):
+                got = _pairs(sized_engine.search(
+                    query, k=20, filters=flt, with_meta=False,
+                    strategy=strategy))
+                assert got == exp, (query, flt, strategy)
+
+
+def test_msearch_over_shard_counts(sized_engine, oracle):
+    reqs = [{"text": q, "k": 7, **({"filters": f} if f else {})}
+            for q in QUERY_SET[:6] for f in FILTERS[:2]]
+    for strategy in (None, "wand"):
+        batch = sized_engine.msearch(reqs, with_meta=False,
+                                     strategy=strategy)
+        qid = batch["query_id"].to_numpy(zero_copy_only=False)
+        for i, r in enumerate(reqs):
+            part = batch.filter(np.equal(qid, i))
+            assert _pairs(part) == oracle.search(
+                r["text"], k=7, filters=r.get("filters")), (i, strategy)
+
+
+def test_bounded_equals_unbounded_over_shard_counts(sized_engine,
+                                                    small_index):
+    idx_dir, _cfg = small_index
+    seg = os.path.join(idx_dir, "segments")
+    cap = max(4096, sum(os.path.getsize(os.path.join(seg, f))
+                        for f in os.listdir(seg)) // 8)
+    bounded = SearchEngine(idx_dir, num_shards=len(sized_engine.shards),
+                           prewarm_hot_terms=0, max_resident_bytes=cap)
+    try:
+        for query in QUERY_SET + ["zzz_nonexistent_term_q"]:
+            for flt in FILTERS[:2]:
+                for strategy in ("taat", "wand"):
+                    a = sized_engine.search(query, k=20, filters=flt,
+                                            with_meta=False,
+                                            strategy=strategy)
+                    b = bounded.search(query, k=20, filters=flt,
+                                       with_meta=False, strategy=strategy)
+                    assert a.to_pydict() == b.to_pydict(), \
+                        (query, flt, strategy)
+        assert bounded.cache_stats()["rg_loads"] > 0
+    finally:
+        bounded.shutdown()
+
+
+def test_prewarm_does_not_block_cold_query(small_index, oracle):
+    """A default engine fires its hot-term prewarm decodes at open
+    through the shards' "prewarm" concurrency group; a query over terms
+    outside that set is answered, correctly, before ``wait_prewarm``."""
+    idx_dir, _cfg = small_index
+    eng = SearchEngine(idx_dir, prewarm_hot_terms=64)
+    try:
+        assert eng._pending                      # prewarm in flight
+        vocab = {t for q in QUERY_SET for t in q.split()}
+        cold = sorted(t for t in vocab if t.isalpha()
+                      and t not in eng._pending)[:3]
+        assert cold
+        text = " ".join(cold)
+        got = _pairs(eng.search(text, k=10, with_meta=False))
+        assert got and got == oracle.search(text, k=10)
+        assert eng.wait_prewarm() > 0
+        assert _pairs(eng.search(text, k=10, with_meta=False)) == got
+    finally:
+        eng.shutdown()
+
+
+@pytest.fixture(scope="module")
+def unicode_index(ray_session, tmp_path_factory):
+    """A small index whose repo names — and so its ``repo:`` field
+    terms — are non-ASCII."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from logsentinelai_ray.config import CorpusConfig, IndexConfig
+    from logsentinelai_ray.corpus import generate_corpus
+    from logsentinelai_ray.index.build import build_index
+
+    tbl = generate_corpus(CorpusConfig(n_docs=120))
+    names = ["org/café", "org/日本語", "org/Straße", "org/zzz", "org/ämbar"]
+    repos = [names[i % len(names)] for i in range(tbl.num_rows)]
+    tbl = tbl.set_column(tbl.schema.get_field_index("repo"), "repo",
+                         pa.array(repos, pa.string()))
+    idx = str(tmp_path_factory.mktemp("unicode") / "idx")
+    build_index(rd.from_arrow(tbl), idx,
+                IndexConfig(num_partitions=8, salt_buckets=2,
+                            block_size=32), corpus_tag="unicode120")
+    return idx, names
+
+
+@pytest.mark.parametrize("num_shards", [1, 4])
+def test_bounded_lookup_matches_default(unicode_index, num_shards):
+    """Bounded lookups search only the table of the term's partition;
+    they must agree with the default dict lookup on present, absent and
+    non-ASCII terms — and a shard asked for a term of a partition it
+    does not own finds nothing in either mode."""
+    idx, names = unicode_index
+    full = SearchEngine(idx, num_shards=num_shards, prewarm_hot_terms=0)
+    bounded = SearchEngine(idx, num_shards=num_shards, prewarm_hot_terms=0,
+                           max_resident_bytes=4096)
+    try:
+        present = ["error", "lang:python"] + [f"repo:{n}" for n in names]
+        absent = ["zzz_nonexistent_term_q", "repo:org/cafe", "日本語",
+                  "repo:org/日本", "", "￿"]
+        want = full._term_dfs(present + absent)       # 0 = absent
+        assert {t for t, df in want.items() if df} == set(present)
+        assert bounded._term_dfs(present + absent) == want
+        for t in present + absent:
+            owner = term_partition(t, full.P)
+            for eng in (full, bounded):
+                for i, shard in enumerate(eng.shards):
+                    got = ray.get(shard.term_dfs.remote([t]))
+                    mine = shard is eng.part_to_shard[owner]
+                    assert got == ({t: want[t]} if mine and want[t]
+                                   else {}), (t, i, num_shards)
+            a = ray.get(full.part_to_shard[owner].get_terms.remote([t]))
+            b = ray.get(bounded.part_to_shard[owner].get_terms.remote([t]))
+            assert (a is None) == (b is None) == (not want[t])
+            if a is not None:
+                assert a.to_pylist() == b.to_pylist()
+    finally:
+        full.shutdown()
+        bounded.shutdown()
