@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import shutil
 import time
 from functools import partial
 
@@ -270,8 +271,6 @@ def _assign_ids_distributed(key_refs: list, counts: list[int],
     the minimal (origin, pos) — indistinguishable, because duplicates are
     exact full-row duplicates by definition of the key.
     Returns one ObjectRef per origin resolving to its id array."""
-    import shutil
-
     import ray.data as rd
 
     sorted_mat = rd.from_arrow_refs(list(key_refs)).sort("key").materialize()
@@ -368,6 +367,8 @@ def prep_docs(corpus, index_dir: str,
         for i, (src, ids) in enumerate(zip(sources, id_arrays))
     ]
     written = ray.get([w for w, _ in pairs])
+    # the scale path's id-routing exchange is spent once finalize has run
+    shutil.rmtree(os.path.join(index_dir, "_id_mapping"), ignore_errors=True)
     n_docs = int(sum(written))
     _write_docmap(index_dir, n_docs)
     mf.mark_stage(index_dir, "docs", {"n_docs": n_docs})
@@ -392,11 +393,16 @@ def _docmap_single_task(docs_dir: str, docmap_dir: str) -> None:
         columns=_DOCMAP_COLS)
     tbl = tbl.take(pc.sort_indices(tbl["doc_id"]))
     os.makedirs(docmap_dir, exist_ok=True)
-    tmp = os.path.join(docmap_dir, f"docmap.parquet.tmp-{os.getpid()}")
-    # small row groups keep the query-time gather's row-group pruning
-    # as fine-grained as the multi-file layout it replaces
+    write_docmap_file(os.path.join(docmap_dir, "docmap.parquet"), tbl)
+
+
+def write_docmap_file(path: str, tbl: pa.Table) -> None:
+    """One doc-id-sorted docmap file (the build's and each update's delta),
+    zstd-1, atomic tmp+rename. Small row groups keep the query-time
+    gather's row-group pruning as fine-grained as a multi-file layout."""
+    tmp = path + f".tmp-{os.getpid()}"
     pq.write_table(tbl, tmp, row_group_size=32768, **_PQ_WRITE_KW)
-    os.replace(tmp, os.path.join(docmap_dir, "docmap.parquet"))
+    os.replace(tmp, path)
 
 
 def _write_docmap(index_dir: str, n_docs: int | None = None) -> None:
@@ -653,8 +659,6 @@ def emit_postings(index_dir: str, cfg: IndexConfig, n_docs: int) -> None:
     """Stage 2: docs/ → postings_raw/part=P/ (the persisted shuffle)."""
     import ray.data as rd
 
-    import shutil
-
     out_dir = os.path.join(index_dir, "postings_raw")
     # a half-finished previous attempt leaves partial files with fresh
     # uids; re-emitting on top would duplicate postings — start clean
@@ -742,44 +746,53 @@ def _encode_part_salt(exchange_dir: str, part: int, salt: int,
     return encode_runs(tbl, cfg, avgdl)
 
 
-@ray.remote(num_cpus=1)
-def _merge_part(index_dir: str, part: int, fingerprint: str,
-                runs: list) -> dict:
-    """Reduce-side stage 4: merge one part's salt runs, write segment +
-    manifest entry (the per-partition checkpoint unit)."""
-    t0 = time.monotonic()
-    runs = ray.get(runs)  # refs inside a list are not auto-dereferenced
-    tables = [t for t in runs if t.num_rows]
-    if tables:
-        merged = merge_runs(pa.concat_tables(tables))
-    else:
-        from .segments import SEGMENT_SCHEMA
-
-        merged = SEGMENT_SCHEMA.empty_table()
-    seg_dir = os.path.join(index_dir, "segments")
-    os.makedirs(seg_dir, exist_ok=True)
-    path = os.path.join(seg_dir, f"part-{part:04d}.parquet")
+def write_segment(path: str, tbl: pa.Table) -> None:
+    """The one segment-part writer (build, update, shrink, split): zstd-1,
+    atomic tmp+rename, bounded row groups of 512 dictionary rows — the
+    unit the bounded-memory IndexShard mode pages in/out of its LRU (full
+    reads are unaffected: parquet streams row groups either way)."""
+    os.makedirs(os.path.dirname(path), exist_ok=True)
     tmp = path + f".tmp-{os.getpid()}"
-    # bounded row groups (512 dictionary rows each): the unit the
-    # bounded-memory IndexShard mode pages in/out of its LRU — full
-    # reads are unaffected (parquet streams row groups either way)
-    pq.write_table(merged, tmp, row_group_size=512, **_PQ_WRITE_KW)
+    pq.write_table(tbl, tmp, row_group_size=512, **_PQ_WRITE_KW)
     os.replace(tmp, path)
-    n_postings = int(pc.sum(merged["df"]).as_py() or 0) if merged.num_rows \
-        else 0
-    nbytes = sum(len(v) for col in ("doc_data", "tf_data", "dl_data")
-                 for v in merged[col].to_pylist()) if merged.num_rows else 0
+
+
+def _write_part(index_dir: str, part: int, fingerprint: str,
+                merged: pa.Table, t0: float,
+                delta_of: int | None = None) -> dict:
+    """Write one merged segment part and its manifest entry (the
+    per-partition checkpoint unit, written last). One entry shape for a
+    build (``delta_of`` None) and an update (``delta_of`` = its n_base)."""
+    path = os.path.join(index_dir, "segments", f"part-{part:04d}.parquet")
+    write_segment(path, merged)
+
+    def total(arr) -> int:  # the sum of no rows is null
+        return int(pc.sum(arr).as_py() or 0)
+
     entry = {
         "part": part,
         "fingerprint": fingerprint,
         "n_terms": merged.num_rows,
-        "n_postings": n_postings,
-        "posting_bytes": int(nbytes),
+        "n_postings": total(merged["df"]),
+        "posting_bytes": sum(total(pc.binary_length(merged[c])) for c in
+                             ("doc_data", "tf_data", "dl_data")),
         "elapsed_s": round(time.monotonic() - t0, 4),
         "output": path,
+        "delta_of": delta_of,
     }
     mf.write_part_entry(index_dir, entry)
     return entry
+
+
+@ray.remote(num_cpus=1)
+def _merge_part(index_dir: str, part: int, fingerprint: str,
+                *runs: pa.Table) -> dict:
+    """Reduce-side stage 4: merge one part's salt runs and write it. The
+    runs arrive as top-level arguments, so Ray resolves them before the
+    task starts and no worker blocks waiting on its own children."""
+    t0 = time.monotonic()
+    merged = merge_runs(pa.concat_tables(runs))
+    return _write_part(index_dir, part, fingerprint, merged, t0)
 
 
 POSITIONS_SCHEMA = pa.schema([
@@ -969,14 +982,12 @@ def build_segments(index_dir: str, cfg: IndexConfig, avgdl: float,
     remaining = sorted(set(range(cfg.num_partitions)) - done)
     if not remaining:
         return
-    merges = []
-    for p in remaining:
-        runs = [_encode_part_salt.remote(
-                    os.path.join(index_dir, "postings_raw"), p, s, cfg,
-                    avgdl)
-                for s in range(cfg.salt_buckets)]
-        merges.append(_merge_part.remote(index_dir, p, fingerprint, runs))
-    ray.get(merges)
+    exchange = os.path.join(index_dir, "postings_raw")
+    ray.get([
+        _merge_part.remote(index_dir, p, fingerprint, *[
+            _encode_part_salt.remote(exchange, p, s, cfg, avgdl)
+            for s in range(cfg.salt_buckets)])
+        for p in remaining])
 
 
 # --------------------------------------------------------------------------
@@ -993,8 +1004,6 @@ def build_index(corpus_ds, index_dir: str, cfg: IndexConfig | None = None,
     input for lineage (a path or content fingerprint); a resumed build only
     skips work whose manifest fingerprint matches tag + config.
     """
-    import shutil
-
     cfg = cfg or IndexConfig()
     if cfg.stem and cfg.store_positions:
         # phrase verification re-tokenizes document content with the

@@ -10,11 +10,19 @@ restarted build skips stages/partitions whose fingerprint matches.
 
 Layout under ``index_dir``:
   docs/                 stage-1 output (doc ids assigned)   + docs/_SUCCESS
+                        (+ delta-<n_base>-*.parquet per update)
+  docmap/               stage-1b doc-id-sorted metadata (no content)
+                        (+ delta-<n_base>.parquet per update)
   postings_raw/         stage-2 output (raw triples)        + postings_raw/_SUCCESS
   stats.json            stage-2b global stats (N, avgdl, total_tokens)
   segments/part-XXXX.parquet   stage-3/4 output (atomic tmp+rename)
   manifest/part-XXXX.json      per-partition lineage+metrics (written last)
   manifest/_meta.json          build-level config + fingerprint
+
+Transient exchanges (removed once read, never in a finished index):
+  _id_mapping/, _delta_id_mapping/   scale-path id routing (build, update)
+  postings_delta/, postings_delta_pos/   an update's postings exchange
+  _update_pending.json                   an update in flight
 """
 
 from __future__ import annotations

@@ -185,7 +185,8 @@ def encode_runs(group: pa.Table, cfg: IndexConfig, avgdl: float) -> pa.Table:
 
 
 def _empty_run_table() -> pa.Table:
-    schema = SEGMENT_SCHEMA.insert(2, pa.field("salt", pa.int32()))
+    # same column order as encode_runs, so empty and full runs concatenate
+    schema = SEGMENT_SCHEMA.insert(1, pa.field("salt", pa.int32()))
     return schema.empty_table()
 
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 import os
 import shutil
+import time
 
 import ray
 
@@ -37,26 +38,25 @@ from . import manifest as mf
 
 @ray.remote(num_cpus=1)
 def _merge_segment_parts(src_dir: str, dst_dir: str, new_part: int,
-                         src_parts: list[int]) -> int:
+                         src_parts: list[int], fingerprint: str) -> int:
     """Concat the source parts owning ``new_part``'s terms into one new
-    segment file. Atomic tmp+rename (the build's sink convention)."""
+    segment part, written (with its manifest entry) by the build's
+    segment writer."""
     import pyarrow as pa
     import pyarrow.parquet as pq
 
+    from .build import _write_part
+
+    t0 = time.monotonic()
     tables = []
     for s in src_parts:
         p = os.path.join(src_dir, "segments", f"part-{s:04d}.parquet")
         if os.path.exists(p):
             tables.append(pq.read_table(p))
-    out = os.path.join(dst_dir, "segments",
-                       f"part-{new_part:04d}.parquet")
-    tmp = out + ".tmp"
-    merged = pa.concat_tables(tables) if tables else None
-    if merged is None:
+    if not tables:
         return 0
-    pq.write_table(merged, tmp, compression="zstd",
-                   compression_level=1, row_group_size=512)
-    os.replace(tmp, out)
+    merged = pa.concat_tables(tables)
+    _write_part(dst_dir, new_part, fingerprint, merged, t0)
     return merged.num_rows
 
 
@@ -82,7 +82,7 @@ def _merge_position_parts(src_dir: str, dst_dir: str, new_part: int,
 
 @ray.remote(num_cpus=1)
 def _split_segment_part(src_dir: str, dst_dir: str, old_part: int,
-                        p_new: int) -> int:
+                        p_new: int, fingerprint: str) -> int:
     """Fan one source segment part out to its ``factor`` destination
     parts: recompute ``blake2b(term) % P_new`` per DICTIONARY row (terms
     only, never postings — the blobs move opaque) and write each
@@ -92,8 +92,9 @@ def _split_segment_part(src_dir: str, dst_dir: str, old_part: int,
     import pyarrow as pa
     import pyarrow.parquet as pq
 
-    from .build import term_partition
+    from .build import _write_part, term_partition
 
+    t0 = time.monotonic()
     p = os.path.join(src_dir, "segments", f"part-{old_part:04d}.parquet")
     if not os.path.exists(p):
         return 0
@@ -104,12 +105,7 @@ def _split_segment_part(src_dir: str, dst_dir: str, old_part: int,
     n = 0
     for dest in sorted(set(new_parts.tolist())):
         sel = tbl.take(pa.array(np.flatnonzero(new_parts == dest)))
-        out = os.path.join(dst_dir, "segments",
-                           f"part-{dest:04d}.parquet")
-        tmp = out + ".tmp"
-        pq.write_table(sel, tmp, compression="zstd",
-                       compression_level=1)
-        os.replace(tmp, out)
+        _write_part(dst_dir, dest, fingerprint, sel, t0)
         n += sel.num_rows
     return n
 
@@ -152,6 +148,31 @@ def _split_position_part(src_dir: str, dst_dir: str, old_part: int,
     return n
 
 
+def _lineage(src: str) -> str:
+    """The source's latest build/update fingerprint, stamped on the new
+    parts' manifest entries."""
+    with open(os.path.join(src, "manifest", "_meta.json")) as f:
+        return json.load(f)["fingerprint"]
+
+
+def _copy_rest(src: str, dst: str, new_stats: dict) -> dict:
+    """Copy what a repartition leaves as is (docs, docmap, tombstones,
+    build-level manifest files) and write the new stats.json. The
+    source's part entries are not copied: they describe the source's
+    parts, and the new parts already wrote their own."""
+    for d in ("docs", "docmap", "manifest"):
+        sd = os.path.join(src, d)
+        if os.path.isdir(sd):
+            shutil.copytree(sd, os.path.join(dst, d), dirs_exist_ok=True,
+                            ignore=shutil.ignore_patterns("part-*.json"))
+    ts = os.path.join(src, "tombstones.parquet")
+    if os.path.exists(ts):
+        shutil.copy2(ts, os.path.join(dst, "tombstones.parquet"))
+    with open(os.path.join(dst, "stats.json"), "w") as f:
+        json.dump(new_stats, f)
+    return new_stats
+
+
 def split_index(src: str, dst: str, factor: int) -> dict:
     """ES ``_split`` analog: multiply the term-partition count by an
     integer factor. Routing keeps working for the same modular reason
@@ -173,26 +194,15 @@ def split_index(src: str, dst: str, factor: int) -> dict:
         shutil.rmtree(dst)
     os.makedirs(os.path.join(dst, "segments"))
 
-    futs = [_split_segment_part.remote(src, dst, s, p_new)
+    fp = _lineage(src)
+    futs = [_split_segment_part.remote(src, dst, s, p_new, fp)
             for s in range(p)]
     if stats.get("store_positions"):
         futs += [_split_position_part.remote(src, dst, s, p_new)
                  for s in range(p)]
     ray.get(futs)
-
-    for d in ("docs", "docmap", "manifest"):
-        sd = os.path.join(src, d)
-        if os.path.isdir(sd):
-            shutil.copytree(sd, os.path.join(dst, d))
-    ts = os.path.join(src, "tombstones.parquet")
-    if os.path.exists(ts):
-        shutil.copy2(ts, os.path.join(dst, "tombstones.parquet"))
-    new_stats = dict(stats)
-    new_stats["num_partitions"] = p_new
-    new_stats["split_from"] = p
-    with open(os.path.join(dst, "stats.json"), "w") as f:
-        json.dump(new_stats, f)
-    return new_stats
+    return _copy_rest(src, dst, dict(stats, num_partitions=p_new,
+                                     split_from=p))
 
 
 def shrink_index(src: str, dst: str, factor: int) -> dict:
@@ -217,23 +227,12 @@ def shrink_index(src: str, dst: str, factor: int) -> dict:
 
     groups = {n: [s for s in range(p) if s % p_new == n]
               for n in range(p_new)}
-    futs = [_merge_segment_parts.remote(src, dst, n, srcs)
+    fp = _lineage(src)
+    futs = [_merge_segment_parts.remote(src, dst, n, srcs, fp)
             for n, srcs in groups.items()]
     if stats.get("store_positions"):
         futs += [_merge_position_parts.remote(src, dst, n, srcs)
                  for n, srcs in groups.items()]
     ray.get(futs)
-
-    for d in ("docs", "docmap", "manifest"):
-        sd = os.path.join(src, d)
-        if os.path.isdir(sd):
-            shutil.copytree(sd, os.path.join(dst, d))
-    ts = os.path.join(src, "tombstones.parquet")
-    if os.path.exists(ts):
-        shutil.copy2(ts, os.path.join(dst, "tombstones.parquet"))
-    new_stats = dict(stats)
-    new_stats["num_partitions"] = p_new
-    new_stats["shrunk_from"] = p
-    with open(os.path.join(dst, "stats.json"), "w") as f:
-        json.dump(new_stats, f)
-    return new_stats
+    return _copy_rest(src, dst, dict(stats, num_partitions=p_new,
+                                     shrunk_from=p))

@@ -7,10 +7,18 @@ Semantics:
 - New documents receive ids ``N..N+M-1`` (rank of key among the new,
   previously-unseen keys in sorted-key order). Duplicates of existing keys
   or within the delta are dropped (keep-existing / keep-first).
-- Delta postings go through the same partitioned-parquet exchange and run
-  encoding; because all delta doc ids exceed every existing id, merging a
-  term's delta blocks is pure concatenation after the existing blocks — no
+- Delta postings take the build's dataflow: the same partitioned-parquet
+  exchange (``postings_delta/``), the same per-(part, salt) run encode
+  tasks, whose refs the driver hands straight to one merge task per part,
+  and the same segment writer (``build._write_part``: zstd-1, 512-row
+  row groups, one manifest entry shape). Because all delta doc ids exceed
+  every existing id, the existing part is merged as a run ahead of salt
+  0: per term, pure concatenation after the existing blocks — no
   re-encode of old data (the salt-run concat invariant, segments.py).
+- The delta docmap file is written by the build's docmap writer.
+- Nothing transient outlives the commit: the delta exchange
+  (``postings_delta/`` and ``postings_delta_pos/``) and the scale path's
+  ``_delta_id_mapping/`` are removed once they have been read.
 - Collection stats are updated exactly (N' = N + M, total_tokens' += delta)
   so BM25 scores equal a from-scratch build over the union. Stored
   block-max bounds were computed under the *build-time* avgdl; since
@@ -35,8 +43,9 @@ tmp+rename writes, per-part manifest fingerprints), so rerunning
 already-merged parts are skipped via the manifest, the stats update is
 guarded against double-application, and the existing-key scan excludes
 docmap deltas at or above the pending ``n_base`` (uncommitted artifacts
-of the crashed attempt). ``rollback_update`` discards a pending update
-that has not yet merged any segment part.
+of the crashed attempt). A resume re-emits the delta exchange, which is
+only dropped after the commit. ``rollback_update`` discards a pending
+update that has not yet merged any segment part.
 """
 
 from __future__ import annotations
@@ -44,6 +53,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import shutil
 import time
 
 import numpy as np
@@ -61,7 +71,9 @@ from .build import (
     _file_keys,
     _finalize_file,
     _load_mapping,
+    _write_part,
     merge_runs,
+    write_docmap_file,
 )
 
 # config fields that define the on-disk index shape; an update MUST run
@@ -222,8 +234,6 @@ def _assign_delta_ids(index_dir: str, files: list[str], counts: list[int],
 
     # scale path: keys-only Dataset sort; existing rows sort first within a
     # key, so first-occurrence-and-delta == brand-new key (anti-join)
-    import shutil
-
     import ray.data as rd
 
     sorted_mat = (rd.from_arrow_refs(ex_refs + key_refs)
@@ -257,68 +267,44 @@ def _assign_delta_ids(index_dir: str, files: list[str], counts: list[int],
 
 
 # --------------------------------------------------------------------------
-# Per-part delta merge (unchanged semantics; skipped when the manifest
-# already records this delta's fingerprint for the part)
+# Per-part delta merge (skipped when the manifest already records this
+# delta's fingerprint for the part)
 # --------------------------------------------------------------------------
 
 @ray.remote(num_cpus=1)
-def _merge_delta_part(index_dir: str, delta_dir: str, part: int,
-                      fingerprint: str, cfg: IndexConfig,
-                      avgdl_delta: float, n_base: int, n_total: int
-                      ) -> dict:
-    """Encode this part's delta runs and append them to the existing
-    segment (concat per term; delta ids > all existing ids)."""
+def _merge_delta_part(index_dir: str, part: int, fingerprint: str,
+                      n_base: int, *runs: pa.Table) -> dict:
+    """Merge this part's delta runs onto the existing segment part, then
+    write it with the build's writer. Delta ids exceed every existing id,
+    so the existing rows play the role of a run ahead of salt 0: tagged
+    salt=-1 they sort first, and ``merge_runs`` concatenates per term with
+    no re-encode. The runs arrive as top-level arguments (resolved before
+    the task starts), as in the build's ``_merge_part``."""
     t0 = time.monotonic()
-    refs = [_encode_part_salt.remote(delta_dir, part, salt, cfg,
-                                     avgdl_delta)
-            for salt in range(cfg.salt_buckets)]  # fan out, one wait
-    runs = [t for t in ray.get(refs) if t.num_rows]
     seg_path = os.path.join(index_dir, "segments",
                             f"part-{part:04d}.parquet")
-    existing = pq.read_table(seg_path) if os.path.exists(seg_path) else None
-    if runs:
-        delta_seg = merge_runs(pa.concat_tables(runs))
-        if existing is not None and existing.num_rows:
-            # existing rows play the role of a salt-0 run; merge_runs
-            # concatenates per term in 'salt' order, so tag old rows with
-            # salt=-1 (sorts first) and delta rows with their true order
-            old = existing.add_column(1, "salt", pa.array(
-                np.full(existing.num_rows, -1, dtype=np.int32)))
-            new = delta_seg.add_column(1, "salt", pa.array(
-                np.zeros(delta_seg.num_rows, dtype=np.int32)))
-            merged = merge_runs(pa.concat_tables([old, new]))
-        else:
-            merged = delta_seg
-    else:
-        merged = existing
-    if merged is None:
-        from .segments import SEGMENT_SCHEMA
-
-        merged = SEGMENT_SCHEMA.empty_table()
-    tmp = seg_path + f".tmp-{os.getpid()}"
-    os.makedirs(os.path.dirname(seg_path), exist_ok=True)
-    # same bounded row groups as the base build (the bounded-memory
-    # shard mode's paging unit)
-    pq.write_table(merged, tmp, row_group_size=512)
-    os.replace(tmp, seg_path)
-    n_postings = int(pc.sum(merged["df"]).as_py() or 0) if merged.num_rows \
-        else 0
-    entry = {
-        "part": part,
-        "fingerprint": fingerprint,
-        "n_terms": merged.num_rows,
-        "n_postings": n_postings,
-        "elapsed_s": round(time.monotonic() - t0, 4),
-        "output": seg_path,
-        "delta_of": n_base,
-    }
-    mf.write_part_entry(index_dir, entry)
-    return entry
+    tables = list(runs)
+    if os.path.exists(seg_path):
+        existing = pq.read_table(seg_path)
+        tables.insert(0, existing.add_column(1, "salt", pa.array(
+            np.full(existing.num_rows, -1, dtype=np.int32))))
+    merged = merge_runs(pa.concat_tables(tables))
+    return _write_part(index_dir, part, fingerprint, merged, t0,
+                       delta_of=n_base)
 
 
 # --------------------------------------------------------------------------
 # Driver
 # --------------------------------------------------------------------------
+
+def _drop_delta_exchange(index_dir: str) -> str:
+    """Remove the delta postings exchange (and its positions twin);
+    returns its path. It is transient: emitted, merged, then dropped."""
+    delta_dir = os.path.join(index_dir, "postings_delta")
+    shutil.rmtree(delta_dir, ignore_errors=True)
+    shutil.rmtree(delta_dir + "_pos", ignore_errors=True)
+    return delta_dir
+
 
 def _pending_path(index_dir: str) -> str:
     return os.path.join(index_dir, "_update_pending.json")
@@ -329,8 +315,6 @@ def rollback_update(index_dir: str) -> bool:
     part yet. Returns True if something was rolled back. Once any part is
     merged the delta postings are interleaved into segments and the only
     way forward is to resume (rerun ``update_index`` with the same args)."""
-    import shutil
-
     path = _pending_path(index_dir)
     if not os.path.exists(path):
         return False
@@ -357,10 +341,7 @@ def rollback_update(index_dir: str) -> bool:
             dp = os.path.join(pos_root, pdir, f"delta-{n_base:012d}.parquet")
             if os.path.exists(dp):
                 os.remove(dp)
-    shutil.rmtree(os.path.join(index_dir, "postings_delta"),
-                  ignore_errors=True)
-    shutil.rmtree(os.path.join(index_dir, "postings_delta_pos"),
-                  ignore_errors=True)
+    _drop_delta_exchange(index_dir)
     os.remove(path)
     return True
 
@@ -429,24 +410,21 @@ def update_index(new_corpus: str | list[str], index_dir: str,
     pairs = [_finalize_file.remote(f, ids, out)
              for f, ids, out in zip(files, id_arrays, new_doc_files)]
     ray.get([w for w, _ in pairs])
+    # the scale path's id-routing exchange is spent once finalize has run
+    shutil.rmtree(os.path.join(index_dir, "_delta_id_mapping"),
+                  ignore_errors=True)
 
     # ---- delta docmap (ids all > existing -> file-level pruning works)
     delta_meta = pa.concat_tables([
         pq.read_table(p, columns=["doc_id", "repo", "path", "commit",
                                   "lang", "sha256"])
         for p in new_doc_files]).sort_by("doc_id")
-    dm_path = os.path.join(index_dir, "docmap",
-                           f"delta-{n_base:012d}.parquet")
-    dm_tmp = dm_path + f".tmp-{os.getpid()}"
-    pq.write_table(delta_meta, dm_tmp)
-    os.replace(dm_tmp, dm_path)
+    write_docmap_file(os.path.join(index_dir, "docmap",
+                                   f"delta-{n_base:012d}.parquet"),
+                      delta_meta)
 
     # ---- delta postings exchange + tokens
-    delta_dir = os.path.join(index_dir, "postings_delta")
-    import shutil
-
-    shutil.rmtree(delta_dir, ignore_errors=True)
-    shutil.rmtree(delta_dir + "_pos", ignore_errors=True)
+    delta_dir = _drop_delta_exchange(index_dir)
     os.makedirs(delta_dir, exist_ok=True)
     from functools import partial
 
@@ -469,8 +447,9 @@ def update_index(new_corpus: str | list[str], index_dir: str,
     done = mf.completed_parts(index_dir, fingerprint)
     remaining = sorted(set(range(cfg.num_partitions)) - done)
     merge_refs = [
-        _merge_delta_part.remote(index_dir, delta_dir, p, fingerprint,
-                                 cfg, avgdl_build, n_base, n_total)
+        _merge_delta_part.remote(index_dir, p, fingerprint, n_base, *[
+            _encode_part_salt.remote(delta_dir, p, s, cfg, avgdl_build)
+            for s in range(cfg.salt_buckets)])
         for p in remaining
     ]
     # positions sidecar delta: one consolidated file per part appended
@@ -516,5 +495,7 @@ def update_index(new_corpus: str | list[str], index_dir: str,
         "total_s": round(time.monotonic() - t0, 3),
     })
     os.remove(pending)
+    # the delta exchange is spent: a crash before this point re-emits it
+    _drop_delta_exchange(index_dir)
     return {"n_new_docs": n_new, "n_docs": n_total,
             "elapsed_s": round(time.monotonic() - t0, 3)}
