@@ -40,6 +40,12 @@ one semantic the Dataset API can't express: per-block counts → driver
 prefix sum (num_blocks ints) → per-block id assignment, with the rare
 duplicate keys resolved by a tiny keys-only aggregation.
 
+Worker release: ``build_index`` ends by retiring its pooled Ray task
+workers (``release_workers``): every one of them holds the build's
+imports and heap, and serving (shard actors + a driver thread pool) never
+runs a Ray task. ``update_index`` does not, because the next delta
+follows within seconds and wants a warm pool.
+
 Reference parity notes: the reference's "index build" is one ES ``index()``
 call per chunk with wall-clock ids (reference core/elasticsearch.py:46-77,
 314-336) and no parallelism (core/commons.py:459-499); determinism +
@@ -1003,6 +1009,11 @@ def build_index(corpus_ds, index_dir: str, cfg: IndexConfig | None = None,
     (the faster stage-1 path; see prep_docs). ``corpus_tag`` identifies the
     input for lineage (a path or content fingerprint); a resumed build only
     skips work whose manifest fingerprint matches tag + config.
+
+    On return (fresh or resumed) the build's pooled Ray task workers are
+    retired (``release_workers``), so a process that goes on to serve
+    carries no idle build workers; the next Ray task starts its worker
+    afresh (~0.2-0.5 s each). ``update_index`` keeps its pool warm.
     """
     cfg = cfg or IndexConfig()
     if cfg.stem and cfg.store_positions:
@@ -1076,4 +1087,79 @@ def build_index(corpus_ds, index_dir: str, cfg: IndexConfig | None = None,
         "total_s": round(time.monotonic() - t0, 3),
     }
     mf.write_meta(index_dir, meta)
+    release_workers()
     return meta
+
+
+# --------------------------------------------------------------------------
+# Worker release: a build's pooled task workers exit when it returns
+# --------------------------------------------------------------------------
+
+# a round of no-op tasks on pooled workers returns in 10-40 ms. A task
+# that meets a worker Ray is retiring on its own waits 0.2-0.5 s for Ray
+# to start one for it; the release stops waiting after this long and
+# leaves such a task to run, so that worker exits too
+_RELEASE_ROUND_S = 0.1
+# rounds normally end after 2-3; this bounds a pool Ray keeps refilling
+_RELEASE_MAX_ROUNDS = 8
+
+
+def _idle_siblings() -> list[int]:
+    """Pids of the idle pooled workers beside this one: children of the
+    same raylet whose process title is ``ray::IDLE``. Empty where there
+    is no /proc."""
+    ppid = os.getppid()
+    out = []
+    try:
+        names = os.listdir("/proc")
+    except OSError:
+        return out
+    for name in names:
+        if not name.isdigit():
+            continue
+        try:
+            with open(f"/proc/{name}/stat") as f:
+                if int(f.read().rsplit(")", 1)[1].split()[1]) != ppid:
+                    continue
+            with open(f"/proc/{name}/cmdline", "rb") as f:
+                if f.read().startswith(b"ray::IDLE"):
+                    out.append(int(name))
+        except (OSError, ValueError, IndexError):  # it exited meanwhile
+            continue
+    return out
+
+
+@ray.remote(num_cpus=1, max_calls=1)
+def _retire_worker() -> tuple[int, list[int]]:
+    """No-op whose pooled worker exits once it returns (``max_calls=1``).
+    Returns its pid and the idle workers it saw beside it."""
+    return os.getpid(), _idle_siblings()
+
+
+def release_workers() -> None:
+    """Hand the pooled task workers back to the OS, so a serving process
+    does not carry the build's idle workers (and their heaps).
+
+    A worker runs one task at a time, so the ``_retire_worker`` tasks of
+    one round land on distinct pooled workers, and each exits after its
+    task. The first round sends one task per free CPU. Right after a build the
+    pool can hold more workers than there are CPUs (Ray starts extra ones
+    while others wait), and the cluster's free-CPU view lags the build's
+    last leases by ~50 ms, so each task reports the idle workers it sees
+    beside it and the next round sends one task per idle worker not yet
+    retired, until none is left or a round outlasts ``_RELEASE_ROUND_S``.
+    Tasks queue for CPUs held by actors or by a concurrent plan; they
+    never take a busy worker. Ray starts workers again on demand."""
+    retired: set[int] = set()
+    n = max(1, int(ray.available_resources().get("CPU", 0)))
+    for _ in range(_RELEASE_MAX_ROUNDS):
+        refs = [_retire_worker.remote() for _ in range(n)]
+        ready, pending = ray.wait(refs, num_returns=n,
+                                  timeout=_RELEASE_ROUND_S)
+        idle: set[int] = set()
+        for pid, siblings in ray.get(ready):
+            retired.add(pid)
+            idle.update(siblings)
+        n = len(idle - retired)
+        if pending or n == 0:
+            return

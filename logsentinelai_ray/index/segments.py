@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..config import IndexConfig
 from ..query.bm25 import bm25_tf_norm
@@ -190,62 +191,101 @@ def _empty_run_table() -> pa.Table:
     return schema.empty_table()
 
 
+def _list_parts(arr: pa.ListArray) -> tuple[np.ndarray, pa.Array]:
+    """(row offsets starting at 0, flat values) of a list array."""
+    off = arr.offsets.to_numpy().astype(np.int64)
+    return off - off[0], arr.values.slice(off[0], off[-1] - off[0])
+
+
+def _regroup_list(arr: pa.ListArray, bounds: np.ndarray) -> pa.Array:
+    """Concatenate the lists of each row group [bounds[g], bounds[g+1])."""
+    off, values = _list_parts(arr)
+    return pa.ListArray.from_arrays(pa.array(off[bounds], pa.int32()),
+                                    values)
+
+
+def _regroup_binary(arr: pa.Array, bounds: np.ndarray) -> pa.Array:
+    """Concatenate the byte strings (large_binary) of each row group: the
+    values buffer stays as it is, only the offsets are taken at the group
+    bounds."""
+    _, off_buf, data = arr.buffers()
+    off = np.frombuffer(off_buf, dtype=np.int64)[
+        arr.offset:arr.offset + len(arr) + 1]
+    start, stop = int(off[0]), int(off[-1])
+    data = data.slice(start, stop - start) if data is not None \
+        else pa.py_buffer(b"")
+    return pa.Array.from_buffers(
+        pa.large_binary(), len(bounds) - 1,
+        [None, pa.py_buffer(off[bounds] - start), data])
+
+
+def _regroup_block_offsets(arr: pa.ListArray, bounds: np.ndarray
+                           ) -> pa.Array:
+    """Merge per-row block byte offsets (each list ends with its row's
+    stream length) into per-group lists: every row's offsets but its
+    last, shifted by the stream bytes of the rows before it in the group,
+    then the group's total length."""
+    off, values = _list_parts(arr)
+    v = values.to_numpy(zero_copy_only=False).astype(np.int64)
+    lens = np.diff(off)
+    last = off[1:] - 1                    # each row's trailing length
+    row_len = v[last]
+    before = np.zeros(row_len.size + 1, dtype=np.int64)
+    np.cumsum(row_len, out=before[1:])
+    group_of_row = np.repeat(np.arange(bounds.size - 1), np.diff(bounds))
+    row_shift = before[:-1] - before[bounds[:-1]][group_of_row]
+    shifted = v + np.repeat(row_shift, lens)
+    keep = np.ones(v.size, dtype=bool)
+    keep[last] = False
+    # per group: its rows' kept entries, then the group total
+    kept_per_group = np.add.reduceat(lens - 1, bounds[:-1])
+    out_off = np.zeros(bounds.size, dtype=np.int64)
+    np.cumsum(kept_per_group + 1, out=out_off[1:])
+    out = np.empty(int(out_off[-1]), dtype=np.int64)
+    is_total = np.zeros(out.size, dtype=bool)
+    is_total[out_off[1:] - 1] = True
+    out[~is_total] = shifted[keep]
+    out[is_total] = before[bounds[1:]] - before[bounds[:-1]]
+    return pa.ListArray.from_arrays(pa.array(out_off, pa.int32()),
+                                    pa.array(out, pa.int64()))
+
+
 def merge_runs(rows: pa.Table) -> pa.Table:
     """Merge the salt runs of one term partition into final segment rows.
 
     Runs of the same term concatenate in salt order (doc-ranges are disjoint
     and increasing); block metadata lists concatenate, binary streams
-    concatenate with the later runs' block offsets shifted. No re-encode.
+    concatenate with the later runs' block offsets shifted. No re-encode,
+    and no per-row Python: groups of equal terms are found on the sorted
+    term column and every column is rebuilt from its Arrow buffers with
+    offsets taken at the group starts.
     """
     if rows.num_rows == 0:
         return SEGMENT_SCHEMA.empty_table()
-    rows = rows.sort_by([("term", "ascending"), ("salt", "ascending")])
-    d = rows.to_pydict()
+    rows = rows.sort_by([("term", "ascending"), ("salt", "ascending")]) \
+        .combine_chunks()
+    col = {name: rows[name].chunk(0) for name in rows.column_names}
     n = rows.num_rows
-    out = {k: [] for k in ("term", "df", "block_first", "block_last",
-                           "block_count", "block_max", "block_doc_off",
-                           "block_tf_off", "block_dl_off", "doc_data",
-                           "tf_data", "dl_data")}
-    part = d["part"][0]
-    i = 0
-    while i < n:
-        j = i
-        while j < n and d["term"][j] == d["term"][i]:
-            j += 1
-        out["term"].append(d["term"][i])
-        out["df"].append(sum(d["df"][i:j]))
-        for key in ("block_first", "block_last", "block_count", "block_max"):
-            out[key].append([v for r in range(i, j) for v in d[key][r]])
-        for data_key, off_key in (("doc_data", "block_doc_off"),
-                                  ("tf_data", "block_tf_off"),
-                                  ("dl_data", "block_dl_off")):
-            shift = 0
-            offs: list[int] = []
-            bufs: list[bytes] = []
-            for r in range(i, j):
-                ro = d[off_key][r]
-                offs.extend(v + shift for v in ro[:-1])
-                bufs.append(d[data_key][r])
-                shift += ro[-1]
-            offs.append(shift)
-            out[off_key].append(offs)
-            out[data_key].append(b"".join(bufs))
-        i = j
+    term = col["term"]
+    starts = np.zeros(1, dtype=np.int64)
+    if n > 1:
+        new = pc.not_equal(term.slice(1), term.slice(0, n - 1))
+        starts = np.concatenate(
+            (starts, np.flatnonzero(new.to_numpy(zero_copy_only=False)) + 1))
+    bounds = np.append(starts, n)
+    part = col["part"][0].as_py()
+    df = col["df"].to_numpy().astype(np.int64)
     return pa.table({
-        "part": pa.array([part] * len(out["term"]), pa.int32()),
-        "term": pa.array(out["term"], pa.string()),
-        "df": pa.array(out["df"], pa.int64()),
-        "block_first": pa.array(out["block_first"], pa.list_(pa.int64())),
-        "block_last": pa.array(out["block_last"], pa.list_(pa.int64())),
-        "block_count": pa.array(out["block_count"], pa.list_(pa.int32())),
-        "block_max": pa.array(out["block_max"], pa.list_(pa.float64())),
-        "block_doc_off": pa.array(out["block_doc_off"], pa.list_(pa.int64())),
-        "block_tf_off": pa.array(out["block_tf_off"], pa.list_(pa.int64())),
-        "block_dl_off": pa.array(out["block_dl_off"], pa.list_(pa.int64())),
-        "doc_data": pa.array(out["doc_data"], pa.large_binary()),
-        "tf_data": pa.array(out["tf_data"], pa.large_binary()),
-        "dl_data": pa.array(out["dl_data"], pa.large_binary()),
-    })
+        "part": pa.array(np.full(starts.size, part, dtype=np.int32)),
+        "term": term.take(pa.array(starts)),
+        "df": pa.array(np.add.reduceat(df, starts), pa.int64()),
+        **{c: _regroup_list(col[c], bounds) for c in
+           ("block_first", "block_last", "block_count", "block_max")},
+        **{c: _regroup_block_offsets(col[c], bounds) for c in
+           ("block_doc_off", "block_tf_off", "block_dl_off")},
+        **{c: _regroup_binary(col[c], bounds) for c in
+           ("doc_data", "tf_data", "dl_data")},
+    }, schema=SEGMENT_SCHEMA)
 
 
 __all__ = ["SEGMENT_SCHEMA", "encode_runs", "merge_runs", "bm25_tf_norm"]

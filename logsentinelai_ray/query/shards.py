@@ -192,6 +192,17 @@ def _posting_row(tbl: pa.Table, i: int) -> dict:
     return row
 
 
+def _string_buffers(col: pa.Array) -> tuple[memoryview, memoryview]:
+    """(value offsets, data buffer) of a string array as memoryviews, so
+    ``data[offs[i]:offs[i + 1]]`` is row i's UTF-8 bytes without a copy.
+    The data view is unsigned ("B"): an Arrow buffer exports signed chars,
+    and a signed view compares unequal to the same non-ASCII bytes."""
+    _, off_buf, data = col.buffers()
+    fmt = "q" if pa.types.is_large_string(col.type) else "i"
+    offs = memoryview(off_buf).cast(fmt)[col.offset:col.offset + len(col) + 1]
+    return offs, memoryview(data if data is not None else b"").cast("B")
+
+
 @ray.remote(num_cpus=0, max_concurrency=4, max_restarts=2,
             max_task_retries=2, concurrency_groups={"prewarm": 2})
 class IndexShard:
@@ -247,6 +258,8 @@ class IndexShard:
         # term-sorted (segments.py merge_runs sort_by term), which the
         # constructor asserts before trusting the search.
         self._term_cols: list[pa.Array] = []
+        # per term column: (value offsets, data buffer) as memoryviews
+        self._term_bufs: list[tuple[memoryview, memoryview]] = []
         # a term lives only in partition term_partition(term, P), so a
         # bounded lookup searches that partition's table alone
         self._part_table: dict[int, int] = {}
@@ -304,27 +317,32 @@ class IndexShard:
                         col.slice(1))).as_py(), \
                         f"segment part-{p:04d} terms not sorted"
                 self._term_cols.append(col)
+                self._term_bufs.append(_string_buffers(col))
 
     def _lookup(self, term: str):
         """(table, row) of ``term`` or None. Default mode: one dict
         get. Bounded mode: binary search of the sorted resident term
         column of the one partition the term hashes to — O(log vocab)
-        scalar compares against O(1) dict time, irrelevant next to
-        posting decode, for a ~10x smaller dictionary residency."""
+        byte-string compares against O(1) dict time, irrelevant next to
+        posting decode, for a ~10x smaller dictionary residency. Each
+        probe compares the query's UTF-8 bytes with a slice of the
+        column's data buffer (UTF-8 byte order is code-point order, the
+        order Arrow sorted the column in), so no Arrow scalar is boxed."""
         if self.max_resident is None:
             return self.term_index.get(term)
         ti = self._part_table.get(term_partition(term, self.P))
         if ti is None:
             return None
-        col = self._term_cols[ti]
-        lo, hi = 0, len(col)
+        offs, data = self._term_bufs[ti]
+        key = term.encode("utf-8")
+        lo, hi = 0, len(offs) - 1
         while lo < hi:
             mid = (lo + hi) // 2
-            if col[mid].as_py() < term:
+            if data[offs[mid]:offs[mid + 1]].tobytes() < key:
                 lo = mid + 1
             else:
                 hi = mid
-        if lo < len(col) and col[lo].as_py() == term:
+        if lo < len(offs) - 1 and data[offs[lo]:offs[lo + 1]] == key:
             return (ti, lo)
         return None
 

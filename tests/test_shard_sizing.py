@@ -221,3 +221,63 @@ def test_bounded_lookup_matches_default(unicode_index, num_shards):
     finally:
         full.shutdown()
         bounded.shutdown()
+
+
+_PREFIX_REPOS = ["org/a", "org/ab", "org/abc", "org/é", "org/éa", "org/éé",
+                 "org/日", "org/日本", "org/日a", "org/𝄞", "org/𝄞𝄞",
+                 "org/😀x", "org/z", "org/\x7f"]
+
+
+@pytest.fixture(scope="module")
+def prefix_index(ray_session, tmp_path_factory):
+    """One term partition holding repo terms that share prefixes and end
+    in 1-, 2-, 3- and 4-byte UTF-8 code points, so every bounded lookup
+    binary-searches them all in one column."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from logsentinelai_ray.config import CorpusConfig, IndexConfig
+    from logsentinelai_ray.corpus import generate_corpus
+    from logsentinelai_ray.index.build import build_index
+
+    tbl = generate_corpus(CorpusConfig(n_docs=140))
+    repos = [_PREFIX_REPOS[i % len(_PREFIX_REPOS)]
+             for i in range(tbl.num_rows)]
+    tbl = tbl.set_column(tbl.schema.get_field_index("repo"), "repo",
+                         pa.array(repos, pa.string()))
+    idx = str(tmp_path_factory.mktemp("prefix") / "idx")
+    build_index(rd.from_arrow(tbl), idx,
+                IndexConfig(num_partitions=1, salt_buckets=2,
+                            block_size=32), corpus_tag="prefix140")
+    return idx
+
+
+def test_bounded_lookup_shared_prefixes_multibyte(prefix_index):
+    """Byte-wise binary search agrees with the dict lookup on every term
+    of the partition and on absent neighbours of the repo terms: a
+    prefix, an extension by a 1- to 4-byte code point, and the next
+    code point in the last place."""
+    import pyarrow.parquet as pq
+
+    full = SearchEngine(prefix_index, num_shards=1, prewarm_hot_terms=0)
+    bounded = SearchEngine(prefix_index, num_shards=1, prewarm_hot_terms=0,
+                           max_resident_bytes=4096)
+    try:
+        vocab = pq.read_table(f"{prefix_index}/segments/part-0000.parquet",
+                              columns=["term"])["term"].to_pylist()
+        assert vocab == sorted(vocab)
+        present = [f"repo:{r}" for r in _PREFIX_REPOS]
+        assert set(present) <= set(vocab)
+        absent = {"repo:org/", "repo:org/abcd", "repo:org/aé",
+                  "repo:org/日本語", "repo:org/𝄞a", "repo:org/😀",
+                  "repo:org/ac", "repo:org/ê", "repo:org/日b",
+                  "repo:org/😁", "repo:org/\x7f\x7f", "repo:", "~"}
+        absent |= {t[:-1] + chr(ord(t[-1]) + 1) for t in present}
+        absent -= set(vocab)
+        want = full._term_dfs(vocab + sorted(absent))
+        assert all(want[t] for t in vocab)
+        assert not any(want[t] for t in absent)
+        assert bounded._term_dfs(vocab + sorted(absent)) == want
+    finally:
+        full.shutdown()
+        bounded.shutdown()
