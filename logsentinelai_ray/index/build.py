@@ -40,11 +40,12 @@ one semantic the Dataset API can't express: per-block counts → driver
 prefix sum (num_blocks ints) → per-block id assignment, with the rare
 duplicate keys resolved by a tiny keys-only aggregation.
 
-Worker release: ``build_index`` ends by retiring its pooled Ray task
-workers (``release_workers``): every one of them holds the build's
-imports and heap, and serving (shard actors + a driver thread pool) never
-runs a Ray task. ``update_index`` does not, because the next delta
-follows within seconds and wants a warm pool.
+Worker release: once no build or update has run for ``_RELEASE_AFTER_S``
+(10 s), the pooled Ray task workers are retired (``release_workers``):
+every one of them holds the imports and heap of the work it ran, and
+serving (shard actors + a driver thread pool) never runs a Ray task. A
+stream of ingest rounds (the watcher, the realtime monitor) keeps its
+pool warm, because each round starts before the window ends.
 
 Reference parity notes: the reference's "index build" is one ES ``index()``
 call per chunk with wall-clock ids (reference core/elasticsearch.py:46-77,
@@ -58,8 +59,9 @@ from __future__ import annotations
 import hashlib
 import os
 import shutil
+import threading
 import time
-from functools import partial
+from functools import partial, wraps
 
 import numpy as np
 import pyarrow as pa
@@ -997,9 +999,99 @@ def build_segments(index_dir: str, cfg: IndexConfig, avgdl: float,
 
 
 # --------------------------------------------------------------------------
+# Worker release: the pooled task workers exit once builds and updates stop
+# --------------------------------------------------------------------------
+
+# a build or update that no other one follows within this long hands the
+# pool back. The watcher polls every 2 s and the realtime monitor sends a
+# delta every few seconds, so a stream of rounds keeps its pool warm: an
+# update on a cold pool took 3.8-5.0 s instead of 1.3-1.8 s (8k base
+# docs, 2k-doc deltas), two serial waves of worker cold starts; a
+# rollover round's first update 3.3 s instead of 1.6 s (2k-doc rounds)
+_RELEASE_AFTER_S = 10.0
+# the retire tasks return in ~10 ms; this bounds the wait where a CPU is
+# taken between the free-CPU read and the tasks' leases
+_RELEASE_WAIT_S = 5.0
+
+_release_lock = threading.Lock()
+_release_timer: threading.Timer | None = None
+
+
+def _arm_release(due: bool) -> None:
+    """Cancel the pending release; with ``due``, set a new one
+    ``_RELEASE_AFTER_S`` from now."""
+    global _release_timer
+    with _release_lock:
+        if _release_timer is not None:
+            _release_timer.cancel()
+        _release_timer = None
+        if due:
+            _release_timer = threading.Timer(_RELEASE_AFTER_S,
+                                             _release_if_due)
+            _release_timer.daemon = True
+            _release_timer.start()
+
+
+def releases_pool_when_idle(fn):
+    """Decorate a function that fills the task-worker pool (``build_index``,
+    ``update_index``): a call cancels the pending release, and its return
+    (or raise) sets ``release_workers`` to run ``_RELEASE_AFTER_S`` later,
+    unless another such call starts first."""
+    @wraps(fn)
+    def run(*args, **kwargs):
+        _arm_release(False)
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            _arm_release(True)
+    return run
+
+
+def _release_if_due() -> None:
+    global _release_timer
+    with _release_lock:
+        # a call that started meanwhile cancelled or replaced this timer
+        if _release_timer is not threading.current_thread():
+            return
+        _release_timer = None
+    # checked first: a task submitted without a session would start one
+    if not ray.is_initialized():
+        return
+    try:
+        release_workers()
+    except Exception:  # noqa: BLE001 - Ray shut down meanwhile
+        pass
+
+
+@ray.remote(num_cpus=1, max_calls=1)
+def _retire_worker() -> None:
+    """No-op whose pooled worker exits once it returns (``max_calls=1``)."""
+
+
+def release_workers() -> None:
+    """Hand the idle pooled task workers back to the OS, so a process that
+    goes on to serve does not carry them (and the heaps of the builds and
+    updates they ran). Serving (shard actors + a driver thread pool) never
+    runs a Ray task; the next task starts its worker afresh.
+
+    One ``_retire_worker`` per free CPU: a worker runs one task at a time,
+    so the tasks land on distinct idle workers, and each exits after its
+    task. Ray trims the idle pool to the free CPUs within ~1 s of the last
+    task, so a pool that has been quiet for ``_RELEASE_AFTER_S`` holds no
+    more idle workers than there are tasks (measured after 8k-doc builds:
+    4 idle workers on 4 CPUs, 3 with an actor holding one; none left
+    3 s after the release). The tasks never take a busy worker; one that
+    finds no idle worker starts one, which exits after it too."""
+    n = max(1, int(ray.available_resources().get("CPU", 0)))
+    refs = [_retire_worker.remote() for _ in range(n)]
+    ray.wait(refs, num_returns=n, timeout=_RELEASE_WAIT_S)
+
+
+# --------------------------------------------------------------------------
 # Driver
 # --------------------------------------------------------------------------
 
+@releases_pool_when_idle
 def build_index(corpus_ds, index_dir: str, cfg: IndexConfig | None = None,
                 corpus_tag: str = "default") -> dict:
     """Build (or resume) the full index. Returns the build meta dict.
@@ -1010,10 +1102,11 @@ def build_index(corpus_ds, index_dir: str, cfg: IndexConfig | None = None,
     input for lineage (a path or content fingerprint); a resumed build only
     skips work whose manifest fingerprint matches tag + config.
 
-    On return (fresh or resumed) the build's pooled Ray task workers are
-    retired (``release_workers``), so a process that goes on to serve
-    carries no idle build workers; the next Ray task starts its worker
-    afresh (~0.2-0.5 s each). ``update_index`` keeps its pool warm.
+    If no other build or update starts within ``_RELEASE_AFTER_S`` of
+    its return, the pooled Ray task workers are retired in the
+    background (``release_workers``), so a process that goes on to serve
+    carries no idle build workers; the next Ray task then starts its
+    worker afresh (~0.2-0.5 s each).
     """
     cfg = cfg or IndexConfig()
     if cfg.stem and cfg.store_positions:
@@ -1087,79 +1180,4 @@ def build_index(corpus_ds, index_dir: str, cfg: IndexConfig | None = None,
         "total_s": round(time.monotonic() - t0, 3),
     }
     mf.write_meta(index_dir, meta)
-    release_workers()
     return meta
-
-
-# --------------------------------------------------------------------------
-# Worker release: a build's pooled task workers exit when it returns
-# --------------------------------------------------------------------------
-
-# a round of no-op tasks on pooled workers returns in 10-40 ms. A task
-# that meets a worker Ray is retiring on its own waits 0.2-0.5 s for Ray
-# to start one for it; the release stops waiting after this long and
-# leaves such a task to run, so that worker exits too
-_RELEASE_ROUND_S = 0.1
-# rounds normally end after 2-3; this bounds a pool Ray keeps refilling
-_RELEASE_MAX_ROUNDS = 8
-
-
-def _idle_siblings() -> list[int]:
-    """Pids of the idle pooled workers beside this one: children of the
-    same raylet whose process title is ``ray::IDLE``. Empty where there
-    is no /proc."""
-    ppid = os.getppid()
-    out = []
-    try:
-        names = os.listdir("/proc")
-    except OSError:
-        return out
-    for name in names:
-        if not name.isdigit():
-            continue
-        try:
-            with open(f"/proc/{name}/stat") as f:
-                if int(f.read().rsplit(")", 1)[1].split()[1]) != ppid:
-                    continue
-            with open(f"/proc/{name}/cmdline", "rb") as f:
-                if f.read().startswith(b"ray::IDLE"):
-                    out.append(int(name))
-        except (OSError, ValueError, IndexError):  # it exited meanwhile
-            continue
-    return out
-
-
-@ray.remote(num_cpus=1, max_calls=1)
-def _retire_worker() -> tuple[int, list[int]]:
-    """No-op whose pooled worker exits once it returns (``max_calls=1``).
-    Returns its pid and the idle workers it saw beside it."""
-    return os.getpid(), _idle_siblings()
-
-
-def release_workers() -> None:
-    """Hand the pooled task workers back to the OS, so a serving process
-    does not carry the build's idle workers (and their heaps).
-
-    A worker runs one task at a time, so the ``_retire_worker`` tasks of
-    one round land on distinct pooled workers, and each exits after its
-    task. The first round sends one task per free CPU. Right after a build the
-    pool can hold more workers than there are CPUs (Ray starts extra ones
-    while others wait), and the cluster's free-CPU view lags the build's
-    last leases by ~50 ms, so each task reports the idle workers it sees
-    beside it and the next round sends one task per idle worker not yet
-    retired, until none is left or a round outlasts ``_RELEASE_ROUND_S``.
-    Tasks queue for CPUs held by actors or by a concurrent plan; they
-    never take a busy worker. Ray starts workers again on demand."""
-    retired: set[int] = set()
-    n = max(1, int(ray.available_resources().get("CPU", 0)))
-    for _ in range(_RELEASE_MAX_ROUNDS):
-        refs = [_retire_worker.remote() for _ in range(n)]
-        ready, pending = ray.wait(refs, num_returns=n,
-                                  timeout=_RELEASE_ROUND_S)
-        idle: set[int] = set()
-        for pid, siblings in ray.get(ready):
-            retired.add(pid)
-            idle.update(siblings)
-        n = len(idle - retired)
-        if pending or n == 0:
-            return

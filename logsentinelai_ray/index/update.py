@@ -73,6 +73,7 @@ from .build import (
     _load_mapping,
     _write_part,
     merge_runs,
+    releases_pool_when_idle,
     write_docmap_file,
 )
 
@@ -346,6 +347,7 @@ def rollback_update(index_dir: str) -> bool:
     return True
 
 
+@releases_pool_when_idle
 def update_index(new_corpus: str | list[str], index_dir: str,
                  cfg: IndexConfig | None = None,
                  delta_tag: str = "delta") -> dict:
@@ -357,6 +359,10 @@ def update_index(new_corpus: str | list[str], index_dir: str,
     the pending marker pins ``n_base`` and the file list, every artifact
     write is deterministic and atomic, merged parts are skipped via the
     manifest, and the final stats commit is applied exactly once.
+
+    Like ``build_index``, it leaves the task-worker pool warm for the
+    next round and retires it once none follows within
+    ``build._RELEASE_AFTER_S`` (``build.releases_pool_when_idle``).
     """
     import ray.data as rd
 
@@ -497,11 +503,5 @@ def update_index(new_corpus: str | list[str], index_dir: str,
     os.remove(pending)
     # the delta exchange is spent: a crash before this point re-emits it
     _drop_delta_exchange(index_dir)
-    # no build.release_workers() here: an update's caller (the watcher,
-    # the realtime monitor) sends the next delta within seconds, and a
-    # warm pool is what keeps it fast. Measured at 8k base docs + 2k-doc
-    # deltas, releasing after every update took each one from 1.3-1.8 s
-    # to 3.8-5.0 s (id assignment 0.02 -> 1.3 s, merge 0.43 -> 1.45 s:
-    # two serial waves of worker cold starts).
     return {"n_new_docs": n_new, "n_docs": n_total,
             "elapsed_s": round(time.monotonic() - t0, 3)}

@@ -1,7 +1,8 @@
-"""``build_index`` hands its pooled Ray task workers back when it returns:
-the serving process that follows carries no idle build workers, while an
-update right after, concurrent Ray Data plans and CPU-holding actors keep
-working."""
+"""Once no build or update has run for a while, the pooled Ray task
+workers are handed back: the serving process that follows carries no idle
+workers, while a round that follows within the window keeps the warm pool,
+and an update on an empty pool, concurrent Ray Data plans and CPU-holding
+actors keep working."""
 
 import os
 import threading
@@ -99,28 +100,80 @@ def _build(corpora, name: str, out: str, tag: str):
                        corpus_tag=tag)
 
 
-def test_build_returns_its_workers(ray_session, corpora):
-    """Every idle worker in the tree when ``build_index`` returns is on
-    its way out: it exits within seconds (Ray reaps a retired worker
-    ~0.5-1 s after its last task). Before the release, Ray kept up to one
-    idle worker per CPU alive for as long as the process lived."""
+def _started(pid: int) -> int:
+    """Start time of ``pid`` in clock ticks since boot (/proc stat field
+    22); 0 once it is gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return int(f.read().rsplit(")", 1)[1].split()[19])
+    except (OSError, ValueError, IndexError):
+        return 0
+
+
+def test_idle_pool_is_released(ray_session, corpora, monkeypatch):
+    """Idle workers older than the release exit within seconds of it (Ray
+    reaps a retired worker ~0.5-1 s after its last task). The release
+    comes when no build or update followed within the window; before
+    it, Ray kept up to one idle worker per CPU alive for as long as the
+    process lived."""
+    from logsentinelai_ray.index import build
+
+    monkeypatch.setattr(build, "_RELEASE_AFTER_S", 2.0)
     _build(corpora, "base", "idx_a", "a")
-    idle = _idle_workers()
-    left = _wait_gone(idle, timeout_s=10.0)
-    assert not left, f"idle workers still alive 10 s after the build: {left}"
+    timer = build._release_timer
+    assert timer is not None and timer.is_alive()
+    # taken before the release is due: every pid here predates it
+    idle = {p: _started(p) for p in _idle_workers()}
+    timer.join(timeout=60)
+    assert not timer.is_alive()
+    left = {p for p in _wait_gone(set(idle), timeout_s=10.0)
+            if _started(p) == idle[p]}  # not a reused pid
+    assert not left, f"idle workers still alive 10 s after the release: {left}"
 
 
-def test_update_on_empty_pool_matches_rebuild(ray_session, corpora):
-    """An update right after a build starts from an empty pool; its
+def test_next_round_within_window_keeps_pool(ray_session, corpora,
+                                             monkeypatch):
+    """An update that starts within the window of a build cancels the
+    pending release, and the release is due again only once the update
+    returns; nothing is released in between."""
+    from logsentinelai_ray.config import IndexConfig
+    from logsentinelai_ray.index import build
+    from logsentinelai_ray.index.update import update_index
+
+    released = []
+    monkeypatch.setattr(build, "release_workers",
+                        lambda: released.append(time.monotonic()))
+    _build(corpora, "base", "idx_w", "w")
+    first = build._release_timer
+    cfg = IndexConfig(num_partitions=4, salt_buckets=2, block_size=16)
+    update_index(str(corpora / "delta"), str(corpora / "idx_w"), cfg,
+                 delta_tag="w")
+    second = build._release_timer
+    assert first is not second and not first.is_alive()
+    assert second.is_alive() and not released
+    monkeypatch.setattr(build, "_RELEASE_AFTER_S", 0.2)
+    _build(corpora, "base", "idx_w2", "w2")
+    assert not second.is_alive()
+    build._release_timer.join(timeout=30)
+    assert len(released) == 1
+
+
+def test_update_on_empty_pool_matches_rebuild(ray_session, corpora,
+                                              monkeypatch):
+    """An update after the build's pool was released starts afresh; its
     results equal a full build over base + delta: the same documents at
     the same scores, in the same order (doc ids differ between the two
     indexes, so ties compare by document key)."""
     from logsentinelai_ray.config import IndexConfig
+    from logsentinelai_ray.index import build
     from logsentinelai_ray.index.update import update_index
     from logsentinelai_ray.query.shards import SearchEngine
 
+    monkeypatch.setattr(build, "_RELEASE_AFTER_S", 2.0)
     _build(corpora, "base", "idx_b", "b")
-    assert not _wait_gone(_idle_workers(), timeout_s=10.0)
+    idle = _idle_workers()
+    build._release_timer.join(timeout=60)  # the window passes
+    assert not _wait_gone(idle, timeout_s=10.0)
     cfg = IndexConfig(num_partitions=4, salt_buckets=2, block_size=16)
     res = update_index(str(corpora / "delta"), str(corpora / "idx_b"), cfg,
                        delta_tag="d")
@@ -146,10 +199,15 @@ def test_update_on_empty_pool_matches_rebuild(ray_session, corpora):
             e.shutdown()
 
 
-def test_concurrent_plan_survives_release(ray_session, corpora):
-    """A Ray Data plan running in a second driver thread while a build
-    releases its workers still returns the right answer, every time."""
+def test_concurrent_plan_survives_release(ray_session, corpora,
+                                          monkeypatch):
+    """A Ray Data plan running in a second driver thread while the pool
+    is released still returns the right answer, every time."""
     import ray.data as rd
+
+    from logsentinelai_ray.index import build
+
+    monkeypatch.setattr(build, "_RELEASE_AFTER_S", 0.5)
 
     stop = threading.Event()
     results, errors = [], []
@@ -168,6 +226,7 @@ def test_concurrent_plan_survives_release(ray_session, corpora):
     t.start()
     try:
         _build(corpora, "base", "idx_c", "c")
+        build._release_timer.join(timeout=60)
         time.sleep(1.0)  # plans submitted while retired workers exit
     finally:
         stop.set()
@@ -180,7 +239,8 @@ def test_concurrent_plan_survives_release(ray_session, corpora):
 
 def test_release_with_cpu_held_by_actor(ray_session, corpora):
     """An actor holding a CPU leaves fewer free CPUs than the cluster has:
-    the release still returns promptly and never touches the actor."""
+    a release still returns promptly, on a full pool and on an empty
+    one, and never touches the actor."""
     from logsentinelai_ray.index.build import release_workers
 
     @ray.remote(num_cpus=1)
@@ -194,9 +254,10 @@ def test_release_with_cpu_held_by_actor(ray_session, corpora):
         t = time.monotonic()
         _build(corpora, "base", "idx_d", "d")
         assert time.monotonic() - t < 120
-        t = time.monotonic()
-        release_workers()  # on a pool that is already empty
-        assert time.monotonic() - t < 5
+        for _ in range(2):  # the build's pool, then an empty one
+            t = time.monotonic()
+            release_workers()
+            assert time.monotonic() - t < 5
         assert ray.get(holder.pid.remote(), timeout=30) == pid
         assert _alive({pid}) == {pid}
     finally:
