@@ -35,10 +35,10 @@ class IndexConfig:
     # Posting block size for skip/block-max metadata (docids per block).
     block_size: int = 128
 
-    # Batch size (rows) for the tokenize → postings map_batches stage.
-    # content rows are ~KBs; 2048 rows keeps a batch around ~20-50 MB and
+    # Slice size (rows) the finalize task tokenizes its unit in.
+    # content rows are ~KBs; 2048 rows keeps a slice around ~20-50 MB and
     # bounds the file count of the partitioned exchange
-    # (batches * num_partitions files).
+    # (slices * num_partitions files).
     tokenize_batch_size: int = 2048
 
     # Number of IndexShard query actors (each owns >=1 term partition).

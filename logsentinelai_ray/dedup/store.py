@@ -199,17 +199,11 @@ def probe_minhash_store(delta_ds, store_dir: str, base_ds,
             .iter_batches(batch_format="pyarrow", batch_size=1 << 20))
         return _sets_from_rows(pa.concat_tables(rows)) if rows else {}
 
-    # the base and delta candidate-pruned passes are independent Ray
-    # pipelines — overlap them (two driver threads just iterate
-    # batches; the work runs in Ray tasks either way)
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(2) as tp:
-        futs = [tp.submit(_cand_sets, d, ids)
-                for d, ids in ((base_ds, np.unique(a_ids)),
-                               (delta_ds, np.unique(b_ids)))]
-        for f in futs:
-            sets.update(f.result())
+    # the base and delta candidate-pruned passes run one after the
+    # other: overlapping two Ray Data plans on driver threads races Ray
+    # Data's lazy fsspec imports (as in q_federated_search)
+    for d, ids in ((base_ds, np.unique(a_ids)), (delta_ds, np.unique(b_ids))):
+        sets.update(_cand_sets(d, ids))
     verified = rd.from_arrow(pa.table({
         "a": pa.array(a_ids, pa.int64()),
         "b": pa.array(b_ids, pa.int64()),

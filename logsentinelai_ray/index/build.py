@@ -1,21 +1,28 @@
-"""Index build pipeline — SPIMI over Ray Data (SURVEY.md §7 phase 2).
+"""Index build pipeline — SPIMI over Ray (SURVEY.md §7 phase 2).
 
 Stages (each a checkpoint; a rerun skips completed work via the manifest):
 
-  1. doc prep   : dedup (repo,path,commit) keep-first + deterministic dense
-                  doc_id in INPUT order + sha256. No content ever moves
-                  through a shuffle: only the (key, row) projection is
-                  exchanged; content is read once and written once.
-  2. postings   : ``map_batches`` tokenize (zero-copy Arrow, vectorized tf
-                  via term_tf) → raw triples (part, salt, term, doc_id,
-                  tf, dl) + field postings ("lang:x", "repo:y"), written as
-                  **hash-partitioned parquet** ``postings_raw/part=P/``.
-                  This IS the build's term shuffle: the exchange
-                  materializes through partitioned storage, which is what
-                  makes the build resumable mid-shuffle (north rule) — a
-                  network shuffle that dies loses its partials; a
-                  partitioned-parquet exchange doesn't.
-  2b. stats     : global N / avgdl / total_tokens aggregate → stats.json.
+  1+2. prep+emit: ONE task per input unit (file, row group or Dataset
+                  block) reads the unit's rows once and, in that same
+                  pass, (a) drops duplicates (repo,path,commit keep-first)
+                  and stamps the deterministic dense doc_id + sha256,
+                  writing ``docs/``; (b) tokenizes the in-memory table in
+                  ``tokenize_batch_size``-row slices with the
+                  ``_emit_and_partition`` Arrow batch kernel (unchanged;
+                  only its caller moved into the finalize task; zero-copy
+                  Arrow, vectorized tf via term_tf) → raw triples (part,
+                  salt, term, doc_id, tf, dl) + field postings ("lang:x",
+                  "repo:y"), written as **hash-partitioned parquet**
+                  ``postings_raw/part=P/``. No content moves through a
+                  shuffle: only the (key, row) projection is exchanged for
+                  id assignment, which runs first; content is read once.
+                  The partitioned parquet IS the build's term shuffle: the
+                  exchange materializes through partitioned storage, which
+                  is what makes the build resumable mid-shuffle (north
+                  rule) — a network shuffle that dies loses its partials;
+                  a partitioned-parquet exchange doesn't.
+  2b. stats     : global N / avgdl / total_tokens from the stage-1+2
+                  summary → stats.json.
   3. encode     : one task per (part, salt): read its partition slice, sort,
                   delta+varint+block-max encode (segments.py). salt = S
                   contiguous doc-id ranges, so a Zipf-head term ("error",
@@ -26,8 +33,14 @@ Stages (each a checkpoint; a rerun skips completed work via the manifest):
                   ``segments/part-XXXX.parquet`` atomically + manifest
                   entry.
 
+Ray Data runs only where a plan pays for itself: a Dataset input (its
+blocks are materialized once), the scale path's keys-only sort
+(``_assign_ids_distributed``) and distributed docmap sort, and the
+norms sidecar. A build from Parquet paths under
+``driver_dedup_max_rows`` runs no Ray Data plan at all.
+
 Why raw tasks for stages 3/4 instead of ``groupby(part).map_groups``: the
-exchange already happened at stage-2 write time (partition pruning replaces
+exchange already happened at stage-1+2 write time (partition pruning replaces
 it), so the reduce side is embarrassingly parallel over a small fixed
 keyspace (P*S tasks). Ray Data's sort-based groupby would re-shuffle data
 that is already partitioned on disk and pay an all-to-all it doesn't need;
@@ -61,7 +74,7 @@ import os
 import shutil
 import threading
 import time
-from functools import partial, wraps
+from functools import wraps
 
 import numpy as np
 import pyarrow as pa
@@ -100,7 +113,8 @@ def term_partition(term: str, num_partitions: int) -> int:
 
 
 # --------------------------------------------------------------------------
-# Stage 1: dedup keep-first + deterministic dense doc ids in input order
+# Stages 1+2: dedup keep-first + deterministic dense doc ids, then one
+# pass per unit writes docs/ and the postings exchange
 # --------------------------------------------------------------------------
 
 def _keys_of(tbl: pa.Table, origin: int) -> pa.Table:
@@ -133,9 +147,13 @@ def _file_keys(path: str, origin: int, row_group: int | None = None
     return _keys_of(tbl, origin)
 
 
-def _finalize(tbl: pa.Table, ids: np.ndarray, out_path: str) -> int:
+def _finalize(tbl: pa.Table, ids: np.ndarray, out_path: str,
+              cfg: IndexConfig, n_docs: int, exchange_dir: str
+              ) -> tuple[int, tuple[int, int, int]]:
     """Apply the per-origin id mapping (-1 = duplicate, drop), add sha256,
-    write one docs/ parquet file."""
+    write one docs/ parquet file, then tokenize the same in-memory table
+    into the postings exchange — the unit's one content pass. Returns
+    (docs written, summed (rows, tokens, path_tokens) of the exchange)."""
     keep = ids >= 0
     if not keep.all():
         tbl = tbl.filter(pa.array(keep))
@@ -147,29 +165,40 @@ def _finalize(tbl: pa.Table, ids: np.ndarray, out_path: str) -> int:
     tmp = out_path + f".tmp-{os.getpid()}"
     pq.write_table(out, tmp, **_PQ_WRITE_KW)
     os.replace(tmp, out_path)
-    return out.num_rows
+    sums = [0, 0, 0]
+    step = cfg.tokenize_batch_size
+    for s in range(0, out.num_rows, step):
+        row = _emit_and_partition(out.slice(s, step), cfg, n_docs,
+                                  exchange_dir)
+        for j, c in enumerate(("rows", "tokens", "path_tokens")):
+            sums[j] += row[c][0].as_py()
+    return out.num_rows, tuple(sums)
 
 
 @ray.remote(num_cpus=1, num_returns=2)
-def _finalize_block(tbl: pa.Table, ids: np.ndarray, out_path: str):
-    return _finalize(tbl, ids, out_path), None
+def _finalize_block(tbl: pa.Table, ids: np.ndarray, out_path: str,
+                    cfg: IndexConfig, n_docs: int, exchange_dir: str):
+    return _finalize(tbl, ids, out_path, cfg, n_docs, exchange_dir)
 
 
 @ray.remote(num_cpus=1, num_returns=2)
-def _finalize_file(src, ids: np.ndarray, out_path: str):
+def _finalize_file(src, ids: np.ndarray, out_path: str, cfg: IndexConfig,
+                   n_docs: int, exchange_dir: str):
     """``src`` is a path, or a (path, row_group) pair for the row-group-
     split stage-1 units (a single huge file must not serialize behind one
     task)."""
     path, rg = src if isinstance(src, tuple) else (src, None)
     tbl = (pq.ParquetFile(path).read_row_group(rg) if rg is not None
            else pq.read_table(path))
-    return _finalize(tbl, ids, out_path), None
+    return _finalize(tbl, ids, out_path, cfg, n_docs, exchange_dir)
 
 
-def _assign_ids_driver(key_refs: list, counts: list[int]) -> list:
+def _assign_ids_driver(key_refs: list, counts: list[int]
+                       ) -> tuple[list, int]:
     """Small-corpus path: collect the (key, origin, pos) projection (a few
     MB) and compute sorted-key-rank doc ids on the driver. Returns one
-    int64 id array per origin (-1 marks duplicate rows to drop)."""
+    int64 id array per origin (-1 marks duplicate rows to drop) and the
+    doc count (max id + 1)."""
     tbl = pa.concat_tables(ray.get(list(key_refs)))
     # Arrow C++ sort — Python-object string sorting is ~100x slower
     s = tbl.sort_by([("key", "ascending"), ("origin", "ascending"),
@@ -189,7 +218,7 @@ def _assign_ids_driver(key_refs: list, counts: list[int]) -> list:
         m = origin == i
         arr[pos[m]] = ids_sorted[m]
         per_origin.append(arr)
-    return per_origin
+    return per_origin, (int(ids_sorted.max()) + 1 if n else 0)
 
 
 @ray.remote(num_cpus=1)
@@ -267,7 +296,7 @@ def _load_mapping(mapping_dir: str, origin: int, count: int) -> np.ndarray:
 
 
 def _assign_ids_distributed(key_refs: list, counts: list[int],
-                            index_dir: str) -> list:
+                            index_dir: str) -> tuple[list, int]:
     """Scale path: keys-only Dataset sort → per-block rank assignment with
     boundary handling → id routing back to origins through a partitioned
     mapping exchange. Content never takes part; block completion order is
@@ -278,7 +307,8 @@ def _assign_ids_distributed(key_refs: list, counts: list[int],
     blocks the survivor is the earliest block's first row, which may not be
     the minimal (origin, pos) — indistinguishable, because duplicates are
     exact full-row duplicates by definition of the key.
-    Returns one ObjectRef per origin resolving to its id array."""
+    Returns one ObjectRef per origin resolving to its id array, and the
+    doc count (the sum of the per-block distinct counts)."""
     import ray.data as rd
 
     sorted_mat = rd.from_arrow_refs(list(key_refs)).sort("key").materialize()
@@ -308,8 +338,8 @@ def _assign_ids_distributed(key_refs: list, counts: list[int],
         for j, ((_, _, _, r), pl, off)
         in enumerate(zip(nonempty, prev_lasts, rank_offsets))
     ])
-    return [_load_mapping.remote(mapping_dir, i, c)
-            for i, c in enumerate(counts)]
+    return ([_load_mapping.remote(mapping_dir, i, c)
+             for i, c in enumerate(counts)], int(sum(dcounts)))
 
 
 def _corpus_files(path) -> list[str]:
@@ -326,12 +356,19 @@ def _corpus_files(path) -> list[str]:
 
 def prep_docs(corpus, index_dir: str,
               cfg: IndexConfig | None = None) -> int:
-    """Stage 1. ``corpus`` is a Ray Dataset OR a parquet file/dir path.
+    """Stages 1+2 (doc prep + postings emit, one pass). ``corpus`` is a Ray
+    Dataset OR a parquet file/dir path.
 
     The path form is the scale path: per-file row counts come from parquet
     footers, the dedup exchange reads only the key columns (column
-    pruning), and the id-assign/sha/write wave streams each file through a
-    worker — the content column never transits the object store.
+    pruning), and the id-assign/sha/write/tokenize wave streams each file
+    through a worker — the content column never transits the object
+    store, and is read once.
+
+    Commit order: the postings exchange is wiped before any finalize task
+    runs, ``postings_raw/_SUCCESS`` (the summed tokenize payload) is
+    written once they all have, and ``docs/_SUCCESS`` last — the stage's
+    commit; ``build_index`` reruns the stage unless both exist.
     """
     cfg = cfg or IndexConfig()
     docs_dir = os.path.join(index_dir, "docs")
@@ -366,19 +403,32 @@ def prep_docs(corpus, index_dir: str,
         finalize = _finalize_block
 
     if sum(counts) <= cfg.driver_dedup_max_rows:
-        id_arrays = _assign_ids_driver(key_refs, counts)
+        id_arrays, n_docs = _assign_ids_driver(key_refs, counts)
     else:
-        id_arrays = _assign_ids_distributed(key_refs, counts, index_dir)
+        id_arrays, n_docs = _assign_ids_distributed(key_refs, counts,
+                                                    index_dir)
+    # a half-finished previous attempt leaves partial exchange files,
+    # possibly sliced differently (Dataset blocks need not repeat), which
+    # would duplicate postings — start clean
+    exchange = os.path.join(index_dir, "postings_raw")
+    shutil.rmtree(exchange, ignore_errors=True)
+    shutil.rmtree(exchange + "_pos", ignore_errors=True)
+    os.makedirs(exchange, exist_ok=True)
     pairs = [
         finalize.remote(src, ids,
-                        os.path.join(docs_dir, f"part-{i:05d}.parquet"))
+                        os.path.join(docs_dir, f"part-{i:05d}.parquet"),
+                        cfg, n_docs, exchange)
         for i, (src, ids) in enumerate(zip(sources, id_arrays))
     ]
-    written = ray.get([w for w, _ in pairs])
+    sums = np.zeros(3, dtype=np.int64)
+    for s in ray.get([s for _, s in pairs]):
+        sums += s
     # the scale path's id-routing exchange is spent once finalize has run
     shutil.rmtree(os.path.join(index_dir, "_id_mapping"), ignore_errors=True)
-    n_docs = int(sum(written))
     _write_docmap(index_dir, n_docs)
+    mf.mark_stage(index_dir, "postings_raw",
+                  {"rows": int(sums[0]), "total_tokens": int(sums[1]),
+                   "path_tokens": int(sums[2])})
     mf.mark_stage(index_dir, "docs", {"n_docs": n_docs})
     return n_docs
 
@@ -435,7 +485,7 @@ def _counts_all(refs: list) -> list:
 
 
 # --------------------------------------------------------------------------
-# Stage 2: raw postings — tokenize tasks writing hash-partitioned parquet
+# Stage 2's tokenize kernel: content → raw postings, hash-partitioned parquet
 # --------------------------------------------------------------------------
 
 # per-worker term→partition hash caches, KEYED BY num_partitions: worker
@@ -663,33 +713,8 @@ def _emit_and_partition(batch: pa.Table, cfg: IndexConfig, n_docs: int,
                      "path_tokens": pa.array([n_path_tokens], pa.int64())})
 
 
-def emit_postings(index_dir: str, cfg: IndexConfig, n_docs: int) -> None:
-    """Stage 2: docs/ → postings_raw/part=P/ (the persisted shuffle)."""
-    import ray.data as rd
-
-    out_dir = os.path.join(index_dir, "postings_raw")
-    # a half-finished previous attempt leaves partial files with fresh
-    # uids; re-emitting on top would duplicate postings — start clean
-    shutil.rmtree(out_dir, ignore_errors=True)
-    shutil.rmtree(out_dir + "_pos", ignore_errors=True)
-    os.makedirs(out_dir, exist_ok=True)
-    cols = ["doc_id", "repo", "lang", "content"]
-    if cfg.index_path_field:
-        cols.append("path")
-    docs = rd.read_parquet(os.path.join(index_dir, "docs"), columns=cols)
-    sums = docs.map_batches(
-        partial(_emit_and_partition, cfg=cfg, n_docs=n_docs,
-                out_dir=out_dir),
-        batch_format="pyarrow", batch_size=cfg.tokenize_batch_size,
-    ).sum(["rows", "tokens", "path_tokens"])
-    mf.mark_stage(index_dir, "postings_raw",
-                  {"rows": int(sums["sum(rows)"] or 0),
-                   "total_tokens": int(sums["sum(tokens)"] or 0),
-                   "path_tokens": int(sums["sum(path_tokens)"] or 0)})
-
-
 def compute_stats(index_dir: str, cfg: IndexConfig, n_docs: int) -> dict:
-    """Stage 2b: global collection stats — read from the stage-2 summary
+    """Stage 2b: global collection stats — read from the stage-1+2 summary
     (computed during tokenization; falls back to a column-pruned scan of
     the exchange if the summary is missing)."""
     payload = mf.read_stage(index_dir, "postings_raw")
@@ -1138,17 +1163,13 @@ def build_index(corpus_ds, index_dir: str, cfg: IndexConfig | None = None,
     t0 = time.monotonic()
     timings: dict[str, float] = {}
 
-    if not mf.stage_done(index_dir, "docs"):
+    if not (mf.stage_done(index_dir, "docs")
+            and mf.stage_done(index_dir, "postings_raw")):
         t = time.monotonic()
         n_docs = prep_docs(corpus_ds, index_dir, cfg)
         timings["prep_docs_s"] = round(time.monotonic() - t, 3)
     else:
         n_docs = mf.read_stage(index_dir, "docs")["n_docs"]
-
-    if not mf.stage_done(index_dir, "postings_raw"):
-        t = time.monotonic()
-        emit_postings(index_dir, cfg, n_docs)
-        timings["emit_postings_s"] = round(time.monotonic() - t, 3)
 
     if not os.path.exists(os.path.join(index_dir, "stats.json")):
         t = time.monotonic()

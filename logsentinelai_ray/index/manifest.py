@@ -14,6 +14,10 @@ Layout under ``index_dir``:
   docmap/               stage-1b doc-id-sorted metadata (no content)
                         (+ delta-<n_base>.parquet per update)
   postings_raw/         stage-2 output (raw triples)        + postings_raw/_SUCCESS
+                        Stages 1 and 2 are one pass (the finalize task
+                        writes both); docs/_SUCCESS is written after
+                        postings_raw/_SUCCESS, and a build reruns the
+                        pass unless both exist.
   stats.json            stage-2b global stats (N, avgdl, total_tokens)
   segments/part-XXXX.parquet   stage-3/4 output (atomic tmp+rename)
   manifest/part-XXXX.json      per-partition lineage+metrics (written last)

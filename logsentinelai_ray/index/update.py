@@ -7,8 +7,10 @@ Semantics:
 - New documents receive ids ``N..N+M-1`` (rank of key among the new,
   previously-unseen keys in sorted-key order). Duplicates of existing keys
   or within the delta are dropped (keep-existing / keep-first).
-- Delta postings take the build's dataflow: the same partitioned-parquet
-  exchange (``postings_delta/``), the same per-(part, salt) run encode
+- Delta postings take the build's dataflow: the same one-pass finalize
+  task per delta file (write its ``docs/`` file, then tokenize that
+  in-memory table), the same partitioned-parquet exchange
+  (``postings_delta/``), the same per-(part, salt) run encode
   tasks, whose refs the driver hands straight to one merge task per part,
   and the same segment writer (``build._write_part``: zstd-1, 512-row
   row groups, one manifest entry shape). Because all delta doc ids exceed
@@ -66,7 +68,6 @@ from ..config import IndexConfig
 from . import manifest as mf
 from .build import (
     _corpus_files,
-    _emit_and_partition,
     _encode_part_salt,
     _file_keys,
     _finalize_file,
@@ -360,12 +361,14 @@ def update_index(new_corpus: str | list[str], index_dir: str,
     write is deterministic and atomic, merged parts are skipped via the
     manifest, and the final stats commit is applied exactly once.
 
+    Each delta file is read once: its finalize task writes the file's
+    ``docs/`` delta and tokenizes the same table into the delta exchange,
+    so a delta under ``driver_dedup_max_rows`` runs no Ray Data plan.
+
     Like ``build_index``, it leaves the task-worker pool warm for the
     next round and retires it once none follows within
     ``build._RELEASE_AFTER_S`` (``build.releases_pool_when_idle``).
     """
-    import ray.data as rd
-
     stats = mf.read_stats(index_dir)
     cfg = _effective_config(stats, cfg)
     t0 = time.monotonic()
@@ -408,14 +411,22 @@ def update_index(new_corpus: str | list[str], index_dir: str,
                                          n_base, cfg)
     n_total = n_base + n_new
 
-    # ---- finalize delta docs (deterministic names → idempotent resume)
+    # ---- finalize delta docs + postings exchange, one pass per file
+    # (deterministic names → idempotent resume); salts are computed over
+    # the union range [0, n_total): delta ids land in the upper salt
+    # buckets, still contiguous non-decreasing runs
     docs_dir = os.path.join(index_dir, "docs")
     new_doc_files = [
         os.path.join(docs_dir, f"delta-{n_base:012d}-{i:05d}.parquet")
         for i in range(len(files))]
-    pairs = [_finalize_file.remote(f, ids, out)
+    delta_dir = _drop_delta_exchange(index_dir)
+    os.makedirs(delta_dir, exist_ok=True)
+    pairs = [_finalize_file.remote(f, ids, out, cfg, n_total, delta_dir)
              for f, ids, out in zip(files, id_arrays, new_doc_files)]
-    ray.get([w for w, _ in pairs])
+    delta_tokens = delta_path_tokens = 0
+    for _rows, tokens, path_tokens in ray.get([s for _, s in pairs]):
+        delta_tokens += tokens
+        delta_path_tokens += path_tokens
     # the scale path's id-routing exchange is spent once finalize has run
     shutil.rmtree(os.path.join(index_dir, "_delta_id_mapping"),
                   ignore_errors=True)
@@ -428,25 +439,6 @@ def update_index(new_corpus: str | list[str], index_dir: str,
     write_docmap_file(os.path.join(index_dir, "docmap",
                                    f"delta-{n_base:012d}.parquet"),
                       delta_meta)
-
-    # ---- delta postings exchange + tokens
-    delta_dir = _drop_delta_exchange(index_dir)
-    os.makedirs(delta_dir, exist_ok=True)
-    from functools import partial
-
-    cols = ["doc_id", "repo", "lang", "content"]
-    if cfg.index_path_field:
-        cols.append("path")
-    docs = rd.read_parquet(new_doc_files, columns=cols)
-    # salts are computed over the union range [0, n_total): delta ids land
-    # in the upper salt buckets, still contiguous non-decreasing runs
-    sums = docs.map_batches(
-        partial(_emit_and_partition, cfg=cfg, n_docs=n_total,
-                out_dir=delta_dir),
-        batch_format="pyarrow", batch_size=cfg.tokenize_batch_size,
-    ).sum(["rows", "tokens", "path_tokens"])
-    delta_tokens = int(sums["sum(tokens)"] or 0)
-    delta_path_tokens = int(sums["sum(path_tokens)"] or 0)
 
     # ---- merge delta runs into segments (skip parts already merged)
     avgdl_build = stats["avgdl"] if stats["avgdl"] > 0 else 1.0

@@ -144,3 +144,44 @@ def test_double_append_is_probe_idempotent(split, tmp_path):
     after = _pairs_set(probe_minhash_store(delta, store, base,
                                            threshold=0.5))
     assert after == before
+
+
+def test_probe_runs_one_ray_data_plan_at_a_time(split, tmp_path,
+                                                monkeypatch):
+    """The probe's base and delta candidate passes are separate Ray Data
+    plans; overlapping them on driver threads races Ray Data's lazy
+    fsspec imports, so at most one plan may be iterating at a time."""
+    import threading
+    import time
+
+    import ray.data as rd
+
+    from logsentinelai_ray.dedup.store import (build_minhash_store,
+                                               probe_minhash_store)
+
+    _, base, delta = split
+    store = str(tmp_path / "store")
+    build_minhash_store(base, store)
+
+    lock = threading.Lock()
+    active, peak = [0], [0]
+    iter_batches = rd.Dataset.iter_batches
+
+    def counted(self, *args, **kwargs):
+        def run():
+            with lock:
+                active[0] += 1
+                peak[0] = max(peak[0], active[0])
+            try:
+                # widen the window a concurrent plan would overlap in
+                time.sleep(0.2)
+                yield from iter_batches(self, *args, **kwargs)
+            finally:
+                with lock:
+                    active[0] -= 1
+        return run()
+
+    monkeypatch.setattr(rd.Dataset, "iter_batches", counted)
+    got = probe_minhash_store(delta, store, base, threshold=0.5)
+    assert got.num_rows > 0
+    assert peak[0] == 1

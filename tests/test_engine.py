@@ -276,9 +276,21 @@ def test_distributed_dedup_path_matches_driver_path(small_corpus, tmp_path):
 
 
 def test_resume_after_partial_emit(small_corpus, tmp_path):
-    """A crash DURING stage 2 leaves partial exchange files without the
-    _SUCCESS marker; the rerun must wipe and re-emit (not double-count
-    postings) and converge to the same index."""
+    """A crash DURING the prep+emit stage leaves partial exchange files
+    without the _SUCCESS markers; the rerun must wipe and re-emit (not
+    double-count postings) and converge to the same index."""
+    _resume_after_lost_markers(small_corpus, tmp_path,
+                               ("docs", "postings_raw"))
+
+
+def test_resume_when_only_docs_marker_survives(small_corpus, tmp_path):
+    """The prep+emit stage commits docs/_SUCCESS after
+    postings_raw/_SUCCESS; with only the docs marker left the stage must
+    still rerun."""
+    _resume_after_lost_markers(small_corpus, tmp_path, ("postings_raw",))
+
+
+def _resume_after_lost_markers(small_corpus, tmp_path, markers):
     import shutil
 
     import ray.data as rd
@@ -299,7 +311,8 @@ def test_resume_after_partial_emit(small_corpus, tmp_path):
     # later stages never ran
     idx = str(tmp_path / "crashed")
     build_index(rd.from_arrow(small_corpus), idx, cfg, corpus_tag="pe")
-    os.remove(os.path.join(idx, "postings_raw", "_SUCCESS"))
+    for stage in markers:
+        os.remove(os.path.join(idx, stage, "_SUCCESS"))
     shutil.rmtree(os.path.join(idx, "segments"))
     for name in os.listdir(os.path.join(idx, "manifest")):
         if name != "_build.json":  # keep the start marker: same build
@@ -310,7 +323,7 @@ def test_resume_after_partial_emit(small_corpus, tmp_path):
         os.remove(os.path.join(part0, name))  # half-written partition
     meta = build_index(rd.from_arrow(small_corpus), idx, cfg,
                        corpus_tag="pe")
-    assert "emit_postings_s" in meta["timings"]  # stage 2 re-ran
+    assert "prep_docs_s" in meta["timings"]  # the prep+emit stage re-ran
     e2 = SearchEngine(idx, num_shards=2)
     got = _pairs(e2.search("select union passwd", k=10, with_meta=False))
     e2.shutdown()
