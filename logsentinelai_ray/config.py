@@ -64,8 +64,10 @@ class IndexConfig:
     # Index the path column as a second SCORED field (terms "p:tok" with
     # real tf/dl and its own avgdl in stats) — enables multi-field
     # search with per-field boosts (ES multi_match; filename search for
-    # a code corpus). Off by default: path tokens add a few postings per
-    # doc to the exchange.
+    # a code corpus). Also writes the norms sidecar (norms/: doc_id, dl,
+    # path_dl per doc, from the same tokenize pass) that scorers needing
+    # a doc's total per-field lengths read (combined_fields). Off by
+    # default: path tokens add a few postings per doc to the exchange.
     index_path_field: bool = False
 
     # Index-time stopword filter for the CONTENT analyzer (ES custom
@@ -85,14 +87,6 @@ class IndexConfig:
     # same rule at search time (query/shards.py::SearchEngine._toks).
     # The path field keeps its own unstemmed analyzer.
     stem: str = ""
-
-    # Write the norms sidecar (norms/, one row per doc: doc_id, dl,
-    # path_dl — the Lucene .nvd analog), doc-id-sorted for row-group-
-    # pruned query-time gathers. Needed by scorers that want a doc's
-    # TOTAL per-field lengths even for fields the query terms don't
-    # cover (combined_fields). Off by default: costs one extra
-    # counts-only tokenize pass at build (3 ints/doc exchanged).
-    write_norms: bool = False
 
 
 @dataclass(frozen=True)

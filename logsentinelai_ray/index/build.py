@@ -33,11 +33,17 @@ Stages (each a checkpoint; a rerun skips completed work via the manifest):
                   ``segments/part-XXXX.parquet`` atomically + manifest
                   entry.
 
+The same pass yields each doc's content and path token counts. With
+``index_path_field`` set, the finalize task writes them as the norms
+sidecar (``norms/<docs file name>``: doc_id, dl, path_dl, the Lucene
+.nvd analog), so a build and every update write norms for exactly the
+docs they write.
+
 Ray Data runs only where a plan pays for itself: a Dataset input (its
 blocks are materialized once), the scale path's keys-only sort
-(``_assign_ids_distributed``) and distributed docmap sort, and the
-norms sidecar. A build from Parquet paths under
-``driver_dedup_max_rows`` runs no Ray Data plan at all.
+(``_assign_ids_distributed``) and distributed docmap sort. A build from
+Parquet paths under ``driver_dedup_max_rows`` runs no Ray Data plan at
+all.
 
 Why raw tasks for stages 3/4 instead of ``groupby(part).map_groups``: the
 exchange already happened at stage-1+2 write time (partition pruning replaces
@@ -147,13 +153,21 @@ def _file_keys(path: str, origin: int, row_group: int | None = None
     return _keys_of(tbl, origin)
 
 
+def _write_atomic(tbl: pa.Table, path: str) -> None:
+    tmp = path + f".tmp-{os.getpid()}"
+    pq.write_table(tbl, tmp, **_PQ_WRITE_KW)
+    os.replace(tmp, path)
+
+
 def _finalize(tbl: pa.Table, ids: np.ndarray, out_path: str,
               cfg: IndexConfig, n_docs: int, exchange_dir: str
               ) -> tuple[int, tuple[int, int, int]]:
     """Apply the per-origin id mapping (-1 = duplicate, drop), add sha256,
     write one docs/ parquet file, then tokenize the same in-memory table
-    into the postings exchange — the unit's one content pass. Returns
-    (docs written, summed (rows, tokens, path_tokens) of the exchange)."""
+    into the postings exchange — the unit's one content pass. With
+    ``cfg.index_path_field`` the pass's per-doc (dl, path_dl) go to
+    ``norms/`` under the docs file's name. Returns (docs written, (exchange
+    rows, content tokens, path tokens) summed over the unit)."""
     keep = ids >= 0
     if not keep.all():
         tbl = tbl.filter(pa.array(keep))
@@ -162,17 +176,24 @@ def _finalize(tbl: pa.Table, ids: np.ndarray, out_path: str,
                     for c in tbl["content"].to_pylist()], pa.string())
     out = (tbl.add_column(0, "doc_id", pa.array(ids, pa.int64()))
               .append_column("sha256", sha))
-    tmp = out_path + f".tmp-{os.getpid()}"
-    pq.write_table(out, tmp, **_PQ_WRITE_KW)
-    os.replace(tmp, out_path)
-    sums = [0, 0, 0]
+    _write_atomic(out, out_path)
+    rows = 0
+    dl = np.zeros(out.num_rows, dtype=np.int64)
+    path_dl = np.zeros(out.num_rows, dtype=np.int64)
     step = cfg.tokenize_batch_size
     for s in range(0, out.num_rows, step):
-        row = _emit_and_partition(out.slice(s, step), cfg, n_docs,
-                                  exchange_dir)
-        for j, c in enumerate(("rows", "tokens", "path_tokens")):
-            sums[j] += row[c][0].as_py()
-    return out.num_rows, tuple(sums)
+        n, dl[s:s + step], path_dl[s:s + step] = _emit_and_partition(
+            out.slice(s, step), cfg, n_docs, exchange_dir)
+        rows += n
+    if cfg.index_path_field:
+        norms_dir = os.path.join(os.path.dirname(os.path.dirname(out_path)),
+                                 "norms")
+        os.makedirs(norms_dir, exist_ok=True)
+        _write_atomic(pa.table({"doc_id": out["doc_id"],
+                                "dl": pa.array(dl),
+                                "path_dl": pa.array(path_dl)}),
+                      os.path.join(norms_dir, os.path.basename(out_path)))
+    return out.num_rows, (rows, int(dl.sum()), int(path_dl.sum()))
 
 
 @ray.remote(num_cpus=1, num_returns=2)
@@ -365,10 +386,11 @@ def prep_docs(corpus, index_dir: str,
     through a worker — the content column never transits the object
     store, and is read once.
 
-    Commit order: the postings exchange is wiped before any finalize task
-    runs, ``postings_raw/_SUCCESS`` (the summed tokenize payload) is
-    written once they all have, and ``docs/_SUCCESS`` last — the stage's
-    commit; ``build_index`` reruns the stage unless both exist.
+    Commit order: the postings exchange and ``norms/`` are wiped before
+    any finalize task runs, ``postings_raw/_SUCCESS`` (the summed
+    tokenize payload) is written once they all have, and
+    ``docs/_SUCCESS`` last — the stage's commit; ``build_index`` reruns
+    the stage unless both exist.
     """
     cfg = cfg or IndexConfig()
     docs_dir = os.path.join(index_dir, "docs")
@@ -407,12 +429,13 @@ def prep_docs(corpus, index_dir: str,
     else:
         id_arrays, n_docs = _assign_ids_distributed(key_refs, counts,
                                                     index_dir)
-    # a half-finished previous attempt leaves partial exchange files,
-    # possibly sliced differently (Dataset blocks need not repeat), which
-    # would duplicate postings — start clean
+    # a half-finished previous attempt leaves partial exchange and norms
+    # files, possibly sliced differently (Dataset blocks need not
+    # repeat), which would duplicate postings and norms — start clean
     exchange = os.path.join(index_dir, "postings_raw")
-    shutil.rmtree(exchange, ignore_errors=True)
-    shutil.rmtree(exchange + "_pos", ignore_errors=True)
+    for d in (exchange, exchange + "_pos",
+              os.path.join(index_dir, "norms")):
+        shutil.rmtree(d, ignore_errors=True)
     os.makedirs(exchange, exist_ok=True)
     pairs = [
         finalize.remote(src, ids,
@@ -513,8 +536,12 @@ def _parts_for(terms: list[str], P: int) -> np.ndarray:
 
 def tokenize_emit(batch: pa.Table, cfg: IndexConfig, n_docs: int,
                   with_positions: bool = False
-                  ) -> tuple[pa.Table, pa.Table | None]:
-    """Stage-2 batch kernel: content → (raw posting triples, positions).
+                  ) -> tuple[pa.Table, pa.Table | None, np.ndarray,
+                             np.ndarray]:
+    """Stage-2 batch kernel: content → (raw posting triples, positions,
+    per-row content dl, per-row path dl). The dls are the counts the
+    postings carry: content after the stop filter, path zeros unless
+    ``cfg.index_path_field``.
 
     ``positions`` is None unless ``with_positions``: one row per token
     occurrence (part, term, doc_id, pos) where ``pos`` is the occurrence's
@@ -593,6 +620,7 @@ def tokenize_emit(batch: pa.Table, cfg: IndexConfig, n_docs: int,
     # avgdl (stats.path_avgdl); terms namespaced "p:" so they share the
     # partitioning/encode/merge machinery without colliding with content
     field_tables = [content_terms]
+    p_dl = np.zeros(len(dl_np), dtype=np.int64)
     if cfg.index_path_field and "path" in batch.column_names:
         p_row, p_tok, p_dl = tokenize_batch_arrow(batch["path"],
                                                   cfg.max_token_len)
@@ -642,7 +670,7 @@ def tokenize_emit(batch: pa.Table, cfg: IndexConfig, n_docs: int,
     did = out["doc_id"].to_numpy(zero_copy_only=False)
     salt = np.minimum((did * cfg.salt_buckets) // n_docs,
                       cfg.salt_buckets - 1).astype(np.int32)
-    return out.add_column(1, "salt", pa.array(salt)), positions
+    return out.add_column(1, "salt", pa.array(salt)), positions, dl_np, p_dl
 
 
 def _write_part_slices(tbl: pa.Table, out_dir: str, uid: str) -> None:
@@ -667,38 +695,16 @@ def _write_part_slices(tbl: pa.Table, out_dir: str, uid: str) -> None:
 
 
 def _emit_and_partition(batch: pa.Table, cfg: IndexConfig, n_docs: int,
-                        out_dir: str) -> pa.Table:
-    """Tokenize one batch and write its triples sliced per partition —
-    the map side of the hash exchange. Emits one summary row. When
+                        out_dir: str) -> tuple[int, np.ndarray, np.ndarray]:
+    """Tokenize one non-empty batch and write its triples sliced per
+    partition — the map side of the hash exchange. Returns (triples
+    written, per-row content dl, per-row path dl): the dls sum to the
+    BM25 token totals and are the norms rows. When
     ``cfg.store_positions``, the same tokenize pass also writes the
     positions sidecar occurrences to ``{out_dir}_pos/part=P/`` (no second
     tokenization)."""
-    if batch.num_rows == 0:
-        return pa.table({"rows": pa.array([0], pa.int64()),
-                         "tokens": pa.array([0], pa.int64()),
-                         "path_tokens": pa.array([0], pa.int64())})
-    triples, positions = tokenize_emit(batch, cfg, n_docs,
-                                       with_positions=cfg.store_positions)
-    # content-token count (BM25 total_tokens) falls out of this pass for
-    # free — no separate stats scan over the exchange needed
-    n_tokens = pc.sum(pc.if_else(pc.invert(triples["is_field"]),
-                                 triples["tf"],
-                                 pa.scalar(0, pa.int32()))).as_py() or 0
-    n_path_tokens = 0
-    if cfg.index_path_field:
-        # term is dictionary-encoded: run starts_with over the (small)
-        # dictionary once and gather the mask by code
-        tcol = triples["term"].combine_chunks()
-        if pa.types.is_dictionary(tcol.type):
-            dmask = pc.starts_with(tcol.dictionary, "p:") \
-                .to_numpy(zero_copy_only=False)
-            pmask = pa.array(
-                dmask[tcol.indices.to_numpy(zero_copy_only=False)])
-        else:
-            pmask = pc.starts_with(tcol, "p:")
-        n_path_tokens = pc.sum(pc.if_else(pmask, triples["tf"],
-                                          pa.scalar(0, pa.int32()))
-                               ).as_py() or 0
+    triples, positions, dl, path_dl = tokenize_emit(
+        batch, cfg, n_docs, with_positions=cfg.store_positions)
     # uid derives ONLY from the batch's first doc id: a retried task writes
     # the same file names with the same contents (idempotent side-write) —
     # a pid-based uid would duplicate postings under Ray task retries
@@ -708,36 +714,18 @@ def _emit_and_partition(batch: pa.Table, cfg: IndexConfig, n_docs: int,
     _write_part_slices(triples, out_dir, uid)
     if positions is not None:
         _write_part_slices(positions, out_dir + "_pos", uid)
-    return pa.table({"rows": pa.array([triples.num_rows], pa.int64()),
-                     "tokens": pa.array([n_tokens], pa.int64()),
-                     "path_tokens": pa.array([n_path_tokens], pa.int64())})
+    return triples.num_rows, dl, path_dl
 
 
 def compute_stats(index_dir: str, cfg: IndexConfig, n_docs: int) -> dict:
-    """Stage 2b: global collection stats — read from the stage-1+2 summary
-    (computed during tokenization; falls back to a column-pruned scan of
-    the exchange if the summary is missing)."""
+    """Stage 2b: global collection stats, from the token totals the
+    stage-1+2 summary recorded."""
     payload = mf.read_stage(index_dir, "postings_raw")
-    if "total_tokens" in payload:
-        total = payload["total_tokens"]
-    else:
-        import ray.data as rd
-
-        triples = rd.read_parquet(os.path.join(index_dir, "postings_raw"),
-                                  columns=["tf", "is_field"])
-
-        def partial_sum(batch: pa.Table) -> pa.Table:
-            mask = pc.invert(batch["is_field"])
-            s = pc.sum(pc.if_else(mask, batch["tf"],
-                                  pa.scalar(0, pa.int32())))
-            return pa.table({"t": pa.array([s.as_py() or 0], pa.int64())})
-
-        total = triples.map_batches(partial_sum,
-                                    batch_format="pyarrow").sum("t")
-    path_tokens = int(payload.get("path_tokens", 0))
+    total = int(payload["total_tokens"])
+    path_tokens = int(payload["path_tokens"])
     stats = {
         "n_docs": int(n_docs),
-        "total_tokens": int(total or 0),
+        "total_tokens": total,
         "avgdl": (float(total) / n_docs) if n_docs else 0.0,
         "index_path_field": cfg.index_path_field,
         "path_total_tokens": path_tokens,
@@ -968,46 +956,6 @@ def build_positions(index_dir: str, cfg: IndexConfig,
     mf.mark_stage(index_dir, stage_name, {"n_occurrences": int(sum(occ))})
 
 
-def build_norms(index_dir: str, cfg: IndexConfig) -> None:
-    """Norms sidecar stage (skipped unless cfg.write_norms): one row per
-    doc — (doc_id, dl, path_dl) — the Lucene norms (.nvd) analog,
-    doc-id-sorted so query-time gathers prune row groups exactly like
-    the docmap join. Counts come from the same vectorized tokenizer the
-    postings use, so a norm always equals the dl the postings carry;
-    nothing term-sized is exchanged (the sort moves 3 ints per doc).
-    Serves scorers that need a document's TOTAL field lengths for docs
-    a query term does not cover in that field (combined_fields)."""
-    if not cfg.write_norms or mf.stage_done(index_dir, "norms"):
-        return
-    import ray.data as rd
-
-    mx = cfg.max_token_len
-
-    def kernel(t: pa.Table) -> pa.Table:
-        _r, tok, dl = tokenize_batch_arrow(t["content"], mx)
-        if cfg.stop_words:  # same filtered stream as tokenize_emit
-            sw = pa.array(list(cfg.stop_words), pa.string())
-            keep = pc.invert(pc.is_in(tok, value_set=sw)) \
-                .to_numpy(zero_copy_only=False)
-            dl = np.bincount(_r[keep], minlength=len(dl)) \
-                .astype(dl.dtype)
-        if "path" in t.column_names:
-            _rp, _tp, pdl = tokenize_batch_arrow(t["path"], mx)
-        else:
-            pdl = np.zeros(len(dl), dtype=np.int64)
-        return pa.table({
-            "doc_id": t["doc_id"],
-            "dl": pa.array(dl.astype(np.int64), pa.int64()),
-            "path_dl": pa.array(pdl.astype(np.int64), pa.int64())})
-
-    cols = ["doc_id", "content", "path"]
-    ds = rd.read_parquet(os.path.join(index_dir, "docs"), columns=cols)
-    out = os.path.join(index_dir, "norms")
-    ds.map_batches(kernel, batch_format="pyarrow").sort("doc_id") \
-        .write_parquet(out)
-    mf.mark_stage(index_dir, "norms", {})
-
-
 def build_segments(index_dir: str, cfg: IndexConfig, avgdl: float,
                    fingerprint: str) -> None:
     """Stages 3+4, restricted to partitions not yet in the manifest."""
@@ -1186,11 +1134,6 @@ def build_index(corpus_ds, index_dir: str, cfg: IndexConfig | None = None,
         t = time.monotonic()
         build_positions(index_dir, cfg)
         timings["positions_s"] = round(time.monotonic() - t, 3)
-
-    if cfg.write_norms:
-        t = time.monotonic()
-        build_norms(index_dir, cfg)
-        timings["norms_s"] = round(time.monotonic() - t, 3)
 
     meta = {
         "fingerprint": fingerprint,

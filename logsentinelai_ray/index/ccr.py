@@ -10,9 +10,9 @@ the same protocol falls out naturally:
 1. **plan** (`plan_sync`): diff the leader's tiny manifest/stats JSONs
    against the follower's. A segment part is stale exactly when its
    manifest entry's bytes differ (updates rewrite the part AND its
-   lineage entry together — index/update.py); docs/docmap/positions
-   deltas are append-only new files, so "missing on follower" is the
-   whole test. Nothing data-sized is read to plan.
+   lineage entry together — index/update.py); docs/docmap/norms/
+   positions deltas are append-only new files, so "missing on
+   follower" is the whole test. Nothing data-sized is read to plan.
 2. **fetch**: copy planned files in parallel Ray tasks (the sandbox
    stand-in for cross-cluster segment shipping; at scale each copy is
    an object-store / network transfer and the PLAN is the operator).
@@ -32,7 +32,7 @@ import shutil
 
 import ray
 
-_DATA_DIRS = ("segments", "docs", "docmap", "positions")
+_DATA_DIRS = ("segments", "docs", "docmap", "norms", "positions")
 _COMMIT_FILES = ("stats.json", "tombstones.parquet")
 
 

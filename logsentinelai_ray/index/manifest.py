@@ -13,6 +13,9 @@ Layout under ``index_dir``:
                         (+ delta-<n_base>-*.parquet per update)
   docmap/               stage-1b doc-id-sorted metadata (no content)
                         (+ delta-<n_base>.parquet per update)
+  norms/                per-doc (doc_id, dl, path_dl), one file per docs/
+                        file under the same name, written by the same
+                        finalize task (only with index_path_field)
   postings_raw/         stage-2 output (raw triples)        + postings_raw/_SUCCESS
                         Stages 1 and 2 are one pass (the finalize task
                         writes both); docs/_SUCCESS is written after
@@ -22,6 +25,9 @@ Layout under ``index_dir``:
   segments/part-XXXX.parquet   stage-3/4 output (atomic tmp+rename)
   manifest/part-XXXX.json      per-partition lineage+metrics (written last)
   manifest/_meta.json          build-level config + fingerprint
+  positions/part=P/base-SS.parquet   phrase sidecar, one file per (part,
+                        doc-range); + delta-<n_base>.parquet per update
+                        (only with store_positions)  + positions/_SUCCESS
 
 Transient exchanges (removed once read, never in a finished index):
   _id_mapping/, _delta_id_mapping/   scale-path id routing (build, update)

@@ -13,10 +13,10 @@ partition scheme and merges directory-wise (readers scan the whole
 
 Exchange shape: one Ray task per NEW partition, each reading only its
 ``factor`` source files — embarrassingly parallel, no shuffle, nothing
-driver-sized. ``docs``/``docmap`` copy through unchanged (at real
-scale these are object-store / DFS references, not byte copies — the
-copy here is the sandbox stand-in; the parts that matter, the segment
-merges, are genuine tasks).
+driver-sized. ``docs``/``docmap``/``norms`` copy through unchanged (at
+real scale these are object-store / DFS references, not byte copies —
+the copy here is the sandbox stand-in; the parts that matter, the
+segment merges, are genuine tasks).
 
 Rank identity with the source index is the contract: same stats.json
 (only ``num_partitions`` changes), same postings bytes per term, so
@@ -156,11 +156,11 @@ def _lineage(src: str) -> str:
 
 
 def _copy_rest(src: str, dst: str, new_stats: dict) -> dict:
-    """Copy what a repartition leaves as is (docs, docmap, tombstones,
-    build-level manifest files) and write the new stats.json. The
-    source's part entries are not copied: they describe the source's
+    """Copy what a repartition leaves as is (docs, docmap, norms,
+    tombstones, build-level manifest files) and write the new stats.json.
+    The source's part entries are not copied: they describe the source's
     parts, and the new parts already wrote their own."""
-    for d in ("docs", "docmap", "manifest"):
+    for d in ("docs", "docmap", "norms", "manifest"):
         sd = os.path.join(src, d)
         if os.path.isdir(sd):
             shutil.copytree(sd, os.path.join(dst, d), dirs_exist_ok=True,

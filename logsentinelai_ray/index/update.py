@@ -17,7 +17,9 @@ Semantics:
   every existing id, the existing part is merged as a run ahead of salt
   0: per term, pure concatenation after the existing blocks — no
   re-encode of old data (the salt-run concat invariant, segments.py).
-- The delta docmap file is written by the build's docmap writer.
+- The delta docmap file is written by the build's docmap writer. With
+  ``index_path_field`` set, each finalize task also writes its delta
+  file's norms (``norms/delta-<n_base>-*.parquet``), as the build does.
 - Nothing transient outlives the commit: the delta exchange
   (``postings_delta/`` and ``postings_delta_pos/``) and the scale path's
   ``_delta_id_mapping/`` are removed once they have been read.
@@ -329,11 +331,12 @@ def rollback_update(index_dir: str) -> bool:
             f"{sorted(merged)}; resume it by rerunning update_index with "
             "the same corpus/tag instead of rolling back")
     n_base = pend["n_base"]
-    docs_dir = os.path.join(index_dir, "docs")
     prefix = f"delta-{n_base:012d}-"
-    for name in os.listdir(docs_dir):
-        if name.startswith(prefix):
-            os.remove(os.path.join(docs_dir, name))
+    for sub in ("docs", "norms"):
+        d = os.path.join(index_dir, sub)
+        for name in os.listdir(d) if os.path.isdir(d) else ():
+            if name.startswith(prefix):
+                os.remove(os.path.join(d, name))
     dm = os.path.join(index_dir, "docmap", f"delta-{n_base:012d}.parquet")
     if os.path.exists(dm):
         os.remove(dm)

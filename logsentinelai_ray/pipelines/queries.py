@@ -1934,8 +1934,7 @@ def _docs_engine(sf_dir: str):
         "/tmp/lsai_idx",
         hashlib.sha256(tag.encode()).hexdigest()[:16])
     cfg = IndexConfig(num_partitions=8, salt_buckets=4,
-                      store_positions=True, index_path_field=True,
-                      write_norms=True)
+                      store_positions=True, index_path_field=True)
     build_index(corpus, idx_dir, cfg, corpus_tag=tag)
     eng = SearchEngine(idx_dir)
     _ENGINE_CACHE[sf_dir] = eng
@@ -3085,8 +3084,9 @@ def q_combined_fields(sf_dir: str):
     scored as ONE pseudo-field — term freqs and doc lengths summed
     with the path boost, df over either-field matches, one BM25 pass
     over the combined stats. Doc lengths come from the norms sidecar
-    (index/build.py build_norms), so a doc matched only in one field
-    still gets its full combined length."""
+    (written with each docs/ file by the build's and every update's
+    finalize task when index_path_field is on), so a doc matched only
+    in one field still gets its full combined length."""
     eng = _docs_engine(sf_dir)
     res = eng.combined_fields_search("merge doc 42 md", path_boost=2.0,
                                      k=10)

@@ -2420,24 +2420,32 @@ class SearchEngine:
 
     def _norms_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """(dl, path_dl) float64 arrays indexed by doc_id, from the
-        norms sidecar (index/build.py build_norms). Small-N fast path
-        pins both — the same N-sized budget the TAAT accumulator
-        already pays; past taat_max_docs a scorer should gather only
-        candidate rows through the doc-id-sorted parquet (row-group-
-        pruned, the _join_docmap pattern)."""
+        norms sidecar (one file per docs/ file, written by the build's
+        and each update's finalize tasks). Rows at or past stats'
+        n_docs belong to an update stats.json has not committed and are
+        skipped. Small-N fast path pins both — the same N-sized budget
+        the TAAT accumulator already pays; past taat_max_docs a scorer
+        should gather only candidate rows (row-group-pruned, the
+        _join_docmap pattern)."""
         if self._norms_mem is None:
             ndir = os.path.join(self.index_dir, "norms")
+            rebuild = ("; it was written by an older version, which wrote "
+                       "norms only on request and never on update: "
+                       "rebuild it with IndexConfig(index_path_field=True)")
             if not os.path.isdir(ndir):
-                raise ValueError(
-                    "index was built without the norms sidecar; rebuild "
-                    "with IndexConfig(write_norms=True)")
-            tbl = pa_ds.dataset(ndir, format="parquet").to_table()
+                raise ValueError("index has no norms sidecar" + rebuild)
             n = int(self.stats["n_docs"])
+            tbl = pa_ds.dataset(ndir, format="parquet").to_table()
+            ids = tbl["doc_id"].to_numpy(zero_copy_only=False)
+            live = ids < n
+            if int(live.sum()) != n:
+                raise ValueError(f"the norms sidecar covers "
+                                 f"{int(live.sum())} of {n} docs" + rebuild)
             dl = np.zeros(n, dtype=np.float64)
             pdl = np.zeros(n, dtype=np.float64)
-            ids = tbl["doc_id"].to_numpy(zero_copy_only=False)
-            dl[ids] = tbl["dl"].to_numpy(zero_copy_only=False)
-            pdl[ids] = tbl["path_dl"].to_numpy(zero_copy_only=False)
+            dl[ids[live]] = tbl["dl"].to_numpy(zero_copy_only=False)[live]
+            pdl[ids[live]] = \
+                tbl["path_dl"].to_numpy(zero_copy_only=False)[live]
             self._norms_mem = (dl, pdl)
         return self._norms_mem
 

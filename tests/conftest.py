@@ -29,8 +29,7 @@ def small_index(ray_session, small_corpus, tmp_path_factory):
     from logsentinelai_ray.index.build import build_index
 
     cfg = IndexConfig(num_partitions=8, salt_buckets=2, block_size=32,
-                      store_positions=True, index_path_field=True,
-                      write_norms=True)
+                      store_positions=True, index_path_field=True)
     idx_dir = str(tmp_path_factory.mktemp("index") / "idx")
     build_index(rd.from_arrow(small_corpus), idx_dir, cfg, corpus_tag="t250")
     return idx_dir, cfg

@@ -25,7 +25,7 @@ def leader(ray_session, tmp_path_factory):
     pq.write_table(base, f"{base_dir}/part-0.parquet")
     pq.write_table(delta, f"{delta_dir}/part-0.parquet")
     cfg = IndexConfig(num_partitions=8, salt_buckets=2, block_size=32,
-                      store_positions=True)
+                      store_positions=True, index_path_field=True)
     idx = str(root / "leader")
     build_index(base_dir, idx, cfg, corpus_tag="ccr-base")
     return idx, cfg, delta_dir, str(root / "follower")
@@ -42,6 +42,19 @@ def _ranks(index_dir, text="authentication failure error", k=20):
         eng.shutdown()
 
 
+def _combined_ranks(index_dir, text="auth error md", k=20):
+    """combined_fields reads the norms sidecar, so it ranks the same only
+    if norms/ replicated along with the segments."""
+    from logsentinelai_ray.query.shards import SearchEngine
+
+    eng = SearchEngine(index_dir, num_shards=2)
+    try:
+        r = eng.combined_fields_search(text, path_boost=2.0, k=k)
+        return r["doc_id"].to_pylist(), r["score"].to_pylist()
+    finally:
+        eng.shutdown()
+
+
 def test_ccr_rounds(leader):
     idx, cfg, delta_dir, follower = leader
 
@@ -49,6 +62,7 @@ def test_ccr_rounds(leader):
     r1 = sync_follower(idx, follower)
     assert r1["copied"] > 0
     assert _ranks(follower) == _ranks(idx)
+    assert _combined_ranks(follower) == _combined_ranks(idx)
 
     # leader advances; follower is now stale
     update_index(delta_dir, idx, cfg, delta_tag="ccr-d1")
@@ -63,6 +77,7 @@ def test_ccr_rounds(leader):
     assert r2["copied"] == len(plan["copies"])
     assert _ranks(follower)[0] == lead_ids
     assert _ranks(follower) == _ranks(idx)
+    assert _combined_ranks(follower) == _combined_ranks(idx)
 
     # round 3: no-op — plan is empty, sync is idempotent
     plan3 = plan_sync(idx, follower)
@@ -70,6 +85,7 @@ def test_ccr_rounds(leader):
         and plan3["drops"] == []
     r3 = sync_follower(idx, follower)
     assert r3 == {"copied": 0, "dropped": 0, "committed": 0}
+    assert _combined_ranks(follower) == _combined_ranks(idx)
     assert r1["copied"] >= 8  # bootstrap shipped at least the segments
     assert total_leader_files >= r2["copied"] > 0
 

@@ -212,10 +212,19 @@ def test_update_rollback_before_any_merge(ray_session, tmp_path_factory):
 
     root = tmp_path_factory.mktemp("rb")
     base_dir, delta_dir = _mk_corpora(root)
-    cfg = IndexConfig(num_partitions=4, salt_buckets=2, block_size=32)
+    # the path field makes the update write norms/ delta files too
+    cfg = IndexConfig(num_partitions=4, salt_buckets=2, block_size=32,
+                      index_path_field=True)
     idx = str(root / "idx")
     build_index(base_dir, idx, cfg, corpus_tag="b")
-    before = sorted(os.listdir(os.path.join(idx, "docs")))
+
+    def listing():
+        return {d: sorted(os.listdir(os.path.join(idx, d)))
+                for d in ("docs", "norms")}
+
+    before = listing()
+    assert before["norms"] == [f for f in before["docs"]
+                               if f.endswith(".parquet")]
 
     class Dead:
         def remote(self, *a, **k):
@@ -228,8 +237,9 @@ def test_update_rollback_before_any_merge(ray_session, tmp_path_factory):
             upd.update_index(delta_dir, idx, cfg, delta_tag="d")
     finally:
         upd._merge_delta_part = orig
+    assert listing() != before  # the failed update left delta files
     assert upd.rollback_update(idx) is True
-    assert sorted(os.listdir(os.path.join(idx, "docs"))) == before
+    assert listing() == before
     assert upd.rollback_update(idx) is False
     # index is clean again: a fresh update succeeds
     res = upd.update_index(delta_dir, idx, cfg, delta_tag="d")

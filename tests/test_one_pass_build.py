@@ -176,10 +176,16 @@ def test_index_equals_two_pass_build(case, tmp_path):
         (built, updated)
 
 
-def test_path_route_runs_no_ray_data_plan(tmp_path, monkeypatch):
+@pytest.mark.parametrize("path_field", [False, True],
+                         ids=["default", "path-field"])
+def test_path_route_runs_no_ray_data_plan(tmp_path, monkeypatch,
+                                          path_field):
+    """With the path field on, the build and the update also write the
+    norms sidecar, from the same pass and still without a plan."""
     import ray.data as rd
 
     from logsentinelai_ray.config import IndexConfig
+    from logsentinelai_ray.index import manifest as mf
     from logsentinelai_ray.index.build import build_index
     from logsentinelai_ray.index.update import update_index
 
@@ -194,13 +200,21 @@ def test_path_route_runs_no_ray_data_plan(tmp_path, monkeypatch):
     monkeypatch.setattr(rd, "read_parquet", refuse)
     monkeypatch.setattr(rd, "from_arrow_refs", refuse)
     idx = str(tmp_path / "idx")
-    cfg = IndexConfig(num_partitions=4, salt_buckets=2)
+    cfg = IndexConfig(num_partitions=4, salt_buckets=2,
+                      index_path_field=path_field)
     meta = build_index(src, idx, cfg, corpus_tag="noplan")
     assert meta["n_docs"] > 0
     assert "emit_postings_s" not in meta["timings"]
     files = _write_delta(base, 0, str(tmp_path / "delta"))
     res = update_index(files, idx, cfg, delta_tag="noplan-d0")
     assert res["n_new_docs"] == 60
+    norms = os.path.join(idx, "norms")
+    if path_field:
+        ids = pq.read_table(norms, columns=["doc_id"])["doc_id"]
+        assert sorted(ids.to_pylist()) == \
+            list(range(mf.read_stats(idx)["n_docs"]))
+    else:
+        assert not os.path.exists(norms)
 
 
 def test_retried_finalize_unit_writes_no_duplicate_rows(tmp_path):

@@ -982,10 +982,54 @@ def test_sparse_vector_rejects_multi_token_keys(engine):
         engine.sparse_vector_search({"camelCase": 1.0})
 
 
-def test_norms_sidecar_matches_tokenizer(small_index):
+@pytest.fixture(scope="module", params=["small", "updated", "shrunk",
+                                        "split"])
+def norms_index(request, small_index, engine, tmp_path_factory):
+    """(index_dir, cfg, engine) over each index the norms sidecar must
+    cover: small_index, a build plus an update whose delta replays base
+    rows, and small_index shrunk and split by 2."""
+    import pyarrow as pa
+
+    from logsentinelai_ray.config import CorpusConfig, IndexConfig
+    from logsentinelai_ray.corpus import generate_corpus
+    from logsentinelai_ray.index.build import build_index
+    from logsentinelai_ray.index.shrink import shrink_index, split_index
+    from logsentinelai_ray.index.update import update_index
+    from logsentinelai_ray.query.shards import SearchEngine
+
+    idx_dir, cfg = small_index
+    if request.param == "small":
+        yield idx_dir, cfg, engine
+        return
+    root = tmp_path_factory.mktemp(f"norms-{request.param}")
+    dst = str(root / "idx")
+    if request.param == "updated":
+        base = generate_corpus(CorpusConfig(n_docs=200, seed=11))
+        delta = pa.concat_tables([
+            generate_corpus(CorpusConfig(n_docs=100, seed=22)),
+            base.slice(0, 7)])
+        for name, tbl in (("base", base), ("delta", delta)):
+            (root / name).mkdir()
+            pq.write_table(tbl, str(root / name / "part-0.parquet"))
+        cfg = IndexConfig(num_partitions=8, salt_buckets=2, block_size=32,
+                          index_path_field=True)
+        build_index(str(root / "base"), dst, cfg, corpus_tag="base")
+        update_index(str(root / "delta"), dst, cfg, delta_tag="d1")
+    elif request.param == "shrunk":
+        shrink_index(idx_dir, dst, factor=2)
+    else:
+        split_index(idx_dir, dst, factor=2)
+    eng = SearchEngine(dst, num_shards=2)
+    yield dst, cfg, eng
+    eng.shutdown()
+
+
+def test_norms_sidecar_matches_tokenizer(norms_index):
     """norms/ rows = per-doc (content, path) token counts from the same
-    tokenizer the postings used."""
-    idx_dir, _cfg = small_index
+    tokenizer the postings used, one row per committed doc."""
+    from logsentinelai_ray.index import manifest as mf
+
+    idx_dir, _cfg, _eng = norms_index
     docs = pq.read_table(f"{idx_dir}/docs",
                          columns=["doc_id", "content", "path"])
     norms = pq.read_table(f"{idx_dir}/norms").sort_by("doc_id")
@@ -993,6 +1037,8 @@ def test_norms_sidecar_matches_tokenizer(small_index):
            for d, c, p in zip(docs["doc_id"].to_pylist(),
                               docs["content"].to_pylist(),
                               docs["path"].to_pylist())}
+    n_docs = mf.read_stats(idx_dir)["n_docs"]
+    assert len(set(norms["doc_id"].to_pylist())) == n_docs == len(exp)
     assert norms.num_rows == len(exp)
     for d, dl, pdl in zip(norms["doc_id"].to_pylist(),
                           norms["dl"].to_pylist(),
@@ -1000,13 +1046,13 @@ def test_norms_sidecar_matches_tokenizer(small_index):
         assert (dl, pdl) == exp[d]
 
 
-def test_combined_fields_vs_bruteforce(engine, small_index):
+def test_combined_fields_vs_bruteforce(norms_index):
     """BM25F combined scoring bit-identical to a scalar recomputation
     over content+path with the boost folded into tf/dl/avgdl and df
     over either-field matches."""
     import math
 
-    idx_dir, cfg = small_index
+    idx_dir, cfg, engine = norms_index
     docs = pq.read_table(f"{idx_dir}/docs",
                          columns=["doc_id", "content", "path"])
     rows = [(d, tokenize_py(c), tokenize_py(p))
@@ -1040,6 +1086,46 @@ def test_combined_fields_vs_bruteforce(engine, small_index):
     order = sorted(exp, key=lambda d: (-exp[d], d))
     assert res["doc_id"].to_pylist() == order
     assert res["score"].to_pylist() == [exp[d] for d in order]
+
+
+def test_norms_sidecar_skips_uncommitted_rows_and_refuses_gaps(
+        engine, small_index, tmp_path):
+    """Norms rows past stats' n_docs (an update that crashed before its
+    stats commit) are ignored; norms that miss committed docs (an index
+    updated by a version that wrote no delta norms) raise, naming the
+    rebuild, instead of scoring those docs as zero-length."""
+    import os
+    import shutil
+
+    import pyarrow as pa
+
+    from logsentinelai_ray.query.shards import SearchEngine
+
+    idx_dir, _cfg = small_index
+    dst = str(tmp_path / "idx")
+    shutil.copytree(idx_dir, dst)
+    n = engine.stats["n_docs"]
+    crashed = pa.table({"doc_id": pa.array(range(n, n + 5), pa.int64()),
+                        "dl": pa.array([7] * 5, pa.int64()),
+                        "path_dl": pa.array([3] * 5, pa.int64())})
+    pq.write_table(crashed, f"{dst}/norms/delta-{n:012d}-00000.parquet")
+    text = "authentication failure md"
+    exp = engine.combined_fields_search(text, path_boost=2.0, k=20)
+    eng = SearchEngine(dst, num_shards=2)
+    try:
+        got = eng.combined_fields_search(text, path_boost=2.0, k=20)
+        assert got["doc_id"].to_pylist() == exp["doc_id"].to_pylist()
+        assert got["score"].to_pylist() == exp["score"].to_pylist()
+    finally:
+        eng.shutdown()
+    base = [f for f in os.listdir(f"{dst}/norms") if f.startswith("part-")]
+    os.remove(f"{dst}/norms/{base[0]}")
+    eng = SearchEngine(dst, num_shards=2)
+    try:
+        with pytest.raises(ValueError, match="index_path_field=True"):
+            eng.combined_fields_search(text, path_boost=2.0, k=20)
+    finally:
+        eng.shutdown()
 
 
 def _brute_big_spans(toks, t1, t2, max_dist):
