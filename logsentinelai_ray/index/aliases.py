@@ -33,8 +33,9 @@ import json
 import os
 import tempfile
 
-import numpy as np
 import pyarrow as pa
+
+from ..query.shards import top_k
 
 
 def _load(path: str) -> dict:
@@ -147,12 +148,10 @@ def alias_search(registry: str, name: str, text: str, k: int = 10,
         res = eng.search(text, k=k, filters=flt, with_meta=False,
                          strategy=strategy)
         parts.append(res.select(["doc_id", "score"]))
-    if not parts:
-        return pa.table({"doc_id": pa.array([], pa.int64()),
-                         "score": pa.array([], pa.float64())})
-    allt = pa.concat_tables(parts)
-    score = allt["score"].to_numpy(zero_copy_only=False)
-    doc_id = allt["doc_id"].to_numpy(zero_copy_only=False)
-    order = np.lexsort((doc_id, -score))[:k]
-    return pa.table({"doc_id": pa.array(doc_id[order], pa.int64()),
-                     "score": pa.array(score[order], pa.float64())})
+    topk = []
+    if parts:
+        allt = pa.concat_tables(parts)
+        topk = top_k(allt["doc_id"].to_numpy(zero_copy_only=False),
+                     allt["score"].to_numpy(zero_copy_only=False), k)
+    return pa.table({"doc_id": pa.array([d for d, _ in topk], pa.int64()),
+                     "score": pa.array([s for _, s in topk], pa.float64())})

@@ -34,9 +34,12 @@ semantics and float op-trees are already oracle-verified):
 - ``function_score``     {"query": node, "weight": w} (weight form)
 
 Everything evaluates in the TAAT regime over dense float64 accumulators
-(BM25 contributions are strictly positive, so score > 0 == matched);
-the same node tree runs under WAND past the accumulator ceiling by the
-documented bound-inflation rules on each primitive (see
+(BM25 contributions are strictly positive, so score > 0 == matched): a
+``match`` node is the engine's one accumulator (``_accumulate``, content
+text through the index's analyzer ``_toks``), compound nodes combine
+those arrays, and the request's page is the engine's one selection
+(``_hits``). The same node tree runs under WAND past the accumulator
+ceiling by the documented bound-inflation rules on each primitive (see
 boosting_search / function_score_search scale notes in shards.py).
 Unknown nodes raise ValueError — an honest subset, never a silent
 mis-parse.
@@ -52,13 +55,12 @@ _KEYWORD_FIELDS = ("lang", "repo")
 
 
 def _terms_of(engine, field: str, text: str) -> list[str]:
-    mtl = int(engine.stats["max_token_len"])
-    toks = sorted(set(tokenize_py(text, mtl)))
-    if field == "path":
-        return ["p:" + t for t in toks]
+    if field == "path":  # the path field's own (unstemmed) analyzer
+        mtl = int(engine.stats["max_token_len"])
+        return sorted("p:" + t for t in set(tokenize_py(text, mtl)))
     if field != "content":
         raise ValueError(f"match: unsupported scored field {field!r}")
-    return toks
+    return sorted(set(engine._toks(text)))
 
 
 def _match_text(spec) -> str:
@@ -76,12 +78,7 @@ def _scored(engine, node: dict) -> np.ndarray:
         (field, text), = spec.items()
         terms = _terms_of(engine, field, _match_text(text))
         engine._ensure_contribs(terms)
-        acc = np.zeros(n, dtype=np.float64)
-        for t in terms:  # sorted-term order — the scoring contract
-            hit = engine._contrib_cache.get(t)
-            if hit is not None:
-                acc[hit[0]] += hit[1]
-        return acc
+        return engine._accumulate(terms)
 
     if kind == "match_phrase":
         (field, text), = spec.items()
@@ -243,19 +240,9 @@ def _filter_ids(engine, node: dict) -> np.ndarray:
         if field not in _KEYWORD_FIELDS:
             raise ValueError(f"exists supports keyword fields "
                              f"{_KEYWORD_FIELDS}, got {field!r}")
-        import ray as _ray
-
-        tbls = _ray.get([s.expand_terms.remote(f"{field}:", 1 << 20,
-                                               True)
-                         for s in engine.shards])
-        fterms = sorted(t for tbl in tbls
-                        for t in tbl["term"].to_pylist())
+        fterms = engine._field_terms(field)
         engine._ensure_contribs(fterms)
-        sets = [engine._contrib_cache[t][0] for t in fterms
-                if engine._contrib_cache.get(t) is not None]
-        if not sets:
-            return np.empty(0, np.int64)
-        return np.unique(np.concatenate(sets))
+        return engine._union_ids(fterms)
 
     if kind == "prefix":
         (field, value), = spec.items()
@@ -265,11 +252,7 @@ def _filter_ids(engine, node: dict) -> np.ndarray:
         exp = engine.expand_prefix(text, 1024)
         terms = exp["term"].to_pylist()
         engine._ensure_contribs(terms)
-        sets = [engine._contrib_cache[t][0] for t in terms
-                if engine._contrib_cache.get(t) is not None]
-        if not sets:
-            return np.empty(0, np.int64)
-        return np.unique(np.concatenate(sets))
+        return engine._union_ids(terms)
 
     # any scoring node can sit in filter context: its match set
     return np.flatnonzero(_scored(engine, node) > 0.0)
@@ -280,14 +263,11 @@ def execute_dsl(engine, body: dict, with_meta: bool = False):
     "from": offset}``. Returns the engine's standard (rank, doc_id,
     score) table, tie-broken (score desc, doc_id asc) like every other
     top-k in this engine. Tombstoned docs never surface."""
-    acc = _scored(engine, body.get("query", {"match_all": {}}))
-    engine._mask_tombstones(acc)
     size = int(body.get("size", 10))
     offset = int(body.get("from", 0))
-    cand = np.flatnonzero(acc > 0.0)
-    if cand.size == 0:
-        return engine._format_result([], with_meta)
-    scores = acc[cand]
-    order = np.lexsort((cand, -scores))[offset:offset + size]
+    if size < 0 or offset < 0:
+        raise ValueError(f"size and from must be >= 0, got size={size} "
+                         f"from={offset}")
+    acc = _scored(engine, body.get("query", {"match_all": {}}))
     return engine._format_result(
-        [(int(cand[i]), float(scores[i])) for i in order], with_meta)
+        engine._hits(acc, offset + size)[offset:], with_meta)

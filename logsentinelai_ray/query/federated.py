@@ -48,6 +48,7 @@ from ..analysis.tokenizer import tokenize_py
 from ..index.build import term_partition
 from .bm25 import bm25_idf
 from .postings import PostingsCursor, TermPostings
+from .shards import top_k
 from .wand import block_max_wand_vec
 
 
@@ -80,7 +81,7 @@ class FederatedSearch:
         the global id space (no Σn-sized state — the scale path)."""
         terms = sorted(set(tokenize_py(text, self.max_token_len)))
         if not terms:
-            return self._empty()
+            return self._table([])
         # dfs phase: per-member dfs -> global df per term
         member_dfs = [e._term_dfs(terms) for e in self.engines]
         df_g = {t: sum(d.get(t, 0) for d in member_dfs) for t in terms}
@@ -114,15 +115,7 @@ class FederatedSearch:
                 tg = t + self.offsets[ei]
                 acc[tg[tg < acc.size]] = 0.0
         cand = np.flatnonzero(acc > 0.0)
-        if cand.size == 0:
-            return self._empty()
-        scores = acc[cand]
-        order = np.lexsort((cand, -scores))[:k]
-        return pa.table({
-            "rank": pa.array(np.arange(1, len(order) + 1,
-                                       dtype=np.int64)),
-            "doc_id": pa.array(cand[order], pa.int64()),
-            "score": pa.array(scores[order], pa.float64())})
+        return self._table(top_k(cand, acc[cand], k))
 
     def _search_wand(self, terms: list[str], df_g: dict, k: int
                      ) -> pa.Table:
@@ -162,13 +155,8 @@ class FederatedSearch:
                  for ei, e in enumerate(self.engines)
                  if e._tombstones.size]
         exclude = (np.sort(np.concatenate(tombs)) if tombs else None)
-        topk = block_max_wand_vec(cursors, k, exclude_ids=exclude)
-        if not topk:
-            return self._empty()
-        return pa.table({
-            "rank": pa.array(np.arange(1, len(topk) + 1, dtype=np.int64)),
-            "doc_id": pa.array([d for d, _ in topk], pa.int64()),
-            "score": pa.array([s for _, s in topk], pa.float64())})
+        return self._table(
+            block_max_wand_vec(cursors, k, exclude_ids=exclude))
 
     def shutdown(self) -> None:
         """Shut down every member engine."""
@@ -176,7 +164,8 @@ class FederatedSearch:
             e.shutdown()
 
     @staticmethod
-    def _empty() -> pa.Table:
-        return pa.table({"rank": pa.array([], pa.int64()),
-                         "doc_id": pa.array([], pa.int64()),
-                         "score": pa.array([], pa.float64())})
+    def _table(topk: list[tuple[int, float]]) -> pa.Table:
+        return pa.table({
+            "rank": pa.array(np.arange(1, len(topk) + 1, dtype=np.int64)),
+            "doc_id": pa.array([d for d, _ in topk], pa.int64()),
+            "score": pa.array([s for _, s in topk], pa.float64())})

@@ -37,6 +37,8 @@ import re
 import numpy as np
 import pyarrow as pa
 
+from .shards import top_k
+
 _TOKEN = re.compile(r'"([^"]*)"|(\(|\))|([^\s()]+)')
 
 _KEYWORDS = {"and", "or", "not"}
@@ -289,9 +291,7 @@ def kql_search(engine, q: str, k: int = 10,
         return engine._format_result([], with_meta)
     terms = positive_text_terms(engine, ast)
     if terms:
-        totals = engine._score_id_set(terms, ids)
-        order = np.lexsort((ids, -totals))[:k]
-        topk = [(int(ids[i]), float(totals[i])) for i in order]
+        topk = top_k(ids, engine._score_id_set(terms, ids), k)
     else:  # pure filter: constant score, doc_id asc
         topk = [(int(d), 0.0) for d in ids[:k]]
     return engine._format_result(topk, with_meta)

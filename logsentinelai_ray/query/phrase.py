@@ -319,12 +319,9 @@ def _run_phrase(engine, slots: list[list[str]], chunk_docs: int,
         engine._ensure_contribs(uniq)
         per_slot = []
         for slot, d in zip(slots, slot_dfs):
-            id_sets = [engine._contrib_cache[t][0] for t in slot
-                       if engine._contrib_cache.get(t) is not None]
-            if not id_sets:
+            ids = engine._union_ids(slot)
+            if not ids.size:
                 return _empty_result()
-            ids = (id_sets[0] if len(id_sets) == 1
-                   else np.unique(np.concatenate(id_sets)))
             per_slot.append((d, ids))
         per_slot.sort(key=lambda x: x[0])
         cand = per_slot[0][1]
@@ -503,12 +500,9 @@ def span_or_match(engine, terms: list[str], chunk_docs: int = 200_000,
     union_df = sum(dfs[t] for t in live)
     if union_df <= candidate_max_df:
         engine._ensure_contribs(live)
-        id_sets = [engine._contrib_cache[t][0] for t in live
-                   if engine._contrib_cache.get(t) is not None]
-        if not id_sets:
+        cand = engine._union_ids(live)
+        if not cand.size:
             return _empty_result()
-        cand = (id_sets[0] if len(id_sets) == 1
-                else np.unique(np.concatenate(id_sets)))
         n_chunks = max(1, -(-cand.size // chunk_docs))
         futures = [
             _span_occ_verify.remote(engine.index_dir, slot,

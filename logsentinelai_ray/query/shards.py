@@ -687,6 +687,30 @@ class IndexShard:
                 dls.astype(np.float64))
 
 
+def top_k(ids: np.ndarray, scores: np.ndarray, k: int
+          ) -> list[tuple[int, float]]:
+    """The exact top ``k`` of parallel (ids, scores) arrays, ordered by
+    (score desc, id asc) — the one selection under every dense query
+    surface. Pure: every input row competes, zero scores included (the
+    caller picks the candidates), ids may repeat, and ``k <= 0``
+    selects nothing.
+
+    Above 4k rows a full lexsort dominated latency at 10^6 candidates,
+    so the selection partitions first: everything strictly above the
+    k-th value plus the smallest ids among exact ties at it (the id-asc
+    tie-break), then sorts only that set."""
+    if k <= 0 or ids.size == 0:
+        return []
+    if ids.size > 4 * k:
+        kth = np.partition(scores, ids.size - k)[ids.size - k]
+        above = scores > kth
+        ties = np.sort(ids[scores == kth])[:k - int(above.sum())]
+        ids = np.concatenate((ids[above], ties))
+        scores = np.concatenate((scores[above], np.full(ties.size, kth)))
+    order = np.lexsort((ids, -scores))[:k]
+    return [(int(ids[i]), float(scores[i])) for i in order]
+
+
 class SearchEngine:
     """Driver-side query coordinator over an IndexShard actor pool.
 
@@ -698,6 +722,9 @@ class SearchEngine:
       contributions into a dense float64 accumulator in sorted-term order —
       the same per-doc float addition order as the oracle. ~10-100x faster
       per query than doc-at-a-time when the accumulator fits memory.
+      Every dense query surface shares one accumulator (``_accumulate``)
+      and one selection (``_hits`` over ``top_k``); a surface with its
+      own predicate or boost edits the accumulator in between.
     - **Block-max WAND** (the 10^12-doc scale path): doc-at-a-time with
       skip/block-max pruning; no N-sized state.
 
@@ -954,14 +981,9 @@ class SearchEngine:
                     else [value])
             per_field.append([f"{field}:{v}" for v in vals])
         self._ensure_contribs([ft for fts in per_field for ft in fts])
-        arrays = []
-        for fts in per_field:
-            present = [self._contrib_cache[ft][0] for ft in fts
-                       if self._contrib_cache.get(ft) is not None]
-            if not present:
-                return np.empty(0, dtype=np.int64)
-            arrays.append(present[0] if len(present) == 1
-                          else np.unique(np.concatenate(present)))
+        arrays = [self._union_ids(fts) for fts in per_field]
+        if any(a.size == 0 for a in arrays):
+            return np.empty(0, dtype=np.int64)
         inter = arrays[0]
         for a in arrays[1:]:
             inter = np.intersect1d(inter, a, assume_unique=True)
@@ -1054,44 +1076,65 @@ class SearchEngine:
                 self._dense_rows[t] = row
                 self._contrib_cached += n
 
-    def _search_taat(self, terms: list[str], k: int,
-                     filter_ids: np.ndarray | None
-                     ) -> list[tuple[int, float]]:
-        """Vectorized term-at-a-time exact scoring (dense accumulator).
-        Call ``_ensure_contribs(terms)`` first."""
-        n = int(self.stats["n_docs"])
-        acc = np.zeros(n, dtype=np.float64)
-        for t in terms:  # sorted-term order = the oracle's addition order
+    def _accumulate(self, terms: list[str],
+                    path_boost: float = 1.0) -> np.ndarray:
+        """Dense float64 BM25 scores over all docs (0 = no match): each
+        term's cached contributions added in the given order (pass
+        sorted terms: the oracle's per-doc addition order), "p:"
+        path-field terms scaled by ``path_boost``. A dense row (df >=
+        n/4) adds as one sequential axpy; adding its 0.0 where the term
+        is absent is an IEEE no-op, so the sum is bit-identical to the
+        scatter the other terms take. Reads the caches only (msearch
+        scores on a thread pool): call ``_ensure_contribs(terms)``
+        first."""
+        acc = np.zeros(int(self.stats["n_docs"]), dtype=np.float64)
+        for t in terms:
+            boost = path_boost if t.startswith("p:") else 1.0
             row = self._dense_rows.get(t)
-            if row is not None:
-                acc += row  # sequential axpy; 0.0 elsewhere is a no-op
+            if row is not None and boost == 1.0:
+                acc += row
                 continue
             hit = self._contrib_cache.get(t)
-            if hit is None:
-                continue
-            ids, contrib, _df = hit
-            acc[ids] += contrib
+            if hit is not None:
+                acc[hit[0]] += hit[1] if boost == 1.0 else boost * hit[1]
+        return acc
+
+    def _hits(self, acc: np.ndarray, k: int,
+              filter_ids: np.ndarray | None = None
+              ) -> list[tuple[int, float]]:
+        """Top-k (doc_id, score) of an accumulator: tombstones zeroed (in
+        place), docs scoring > 0 kept — intersected with the sorted
+        ``filter_ids`` when given — then ``top_k``. A surface with
+        another match predicate zeroes the slots it rejects first."""
         self._mask_tombstones(acc)
         cand = np.flatnonzero(acc > 0.0)
         if filter_ids is not None:
             cand = cand[np.isin(cand, filter_ids, assume_unique=True)]
-        if cand.size == 0:
-            return []
-        scores = acc[cand]
-        if cand.size > 4 * k:
-            # exact partition-based top-k: a full lexsort over the
-            # candidate set dominated latency at 10^6 candidates. Select
-            # everything strictly above the k-th value plus the smallest
-            # ids among exact ties at the k-th value (doc-id-asc
-            # tie-break), then sort only that tiny set.
-            kth_val = np.partition(scores, cand.size - k)[cand.size - k]
-            above = scores > kth_val
-            n_above = int(above.sum())
-            tie_ids = np.sort(cand[scores == kth_val])[:k - n_above]
-            keep = np.concatenate((cand[above], tie_ids))
-            cand, scores = keep, acc[keep]
-        order = np.lexsort((cand, -scores))[:k]
-        return [(int(cand[i]), float(scores[i])) for i in order]
+        return top_k(cand, acc[cand], k)
+
+    def _search_taat(self, terms: list[str], k: int,
+                     filter_ids: np.ndarray | None
+                     ) -> list[tuple[int, float]]:
+        """Exact term-at-a-time top-k over the query terms. Call
+        ``_ensure_contribs(terms)`` first."""
+        return self._hits(self._accumulate(terms), k, filter_ids)
+
+    def _union_ids(self, terms: list[str]) -> np.ndarray:
+        """Sorted union of the cached posting ids of ``terms`` (absent
+        terms add nothing). Call ``_ensure_contribs(terms)`` first."""
+        present = [self._contrib_cache[t][0] for t in terms
+                   if self._contrib_cache.get(t) is not None]
+        if not present:
+            return np.empty(0, dtype=np.int64)
+        return (present[0] if len(present) == 1
+                else np.unique(np.concatenate(present)))
+
+    def _field_terms(self, field: str) -> list[str]:
+        """Every ``field:value`` term of a keyword field, sorted — one
+        parallel dictionary round across the shards."""
+        tbls = ray.get([s.expand_terms.remote(f"{field}:", 1 << 20, True)
+                        for s in self.shards])
+        return sorted(t for tbl in tbls for t in tbl["term"].to_pylist())
 
     # -- public API --------------------------------------------------------
 
@@ -1131,13 +1174,17 @@ class SearchEngine:
 
     def _toks(self, text: str) -> list[str]:
         """The engine's CONTENT-field analyzer: tokenize + the stem
-        filter the index was built with (stats["stem"]). The core
-        match family — search / msearch / search_after / explain /
-        match_ids / conjunction_ids / federated members — analyzes
-        through here. Specialty surfaces that reason about SURFACE
-        forms (prefix / fuzzy / wildcard expansion, suggesters,
-        synonym and query_string parsing, the path field's own
-        analyzer) intentionally keep the base tokenizer — the ES
+        filter the index was built with (stats["stem"]). Every query
+        on the content field analyzes through here — search / msearch
+        / search_after / explain / match_ids / conjunction_ids / the
+        bool, boosting (both sides), dis_max and multi_match content
+        clauses / terms_set / the DSL's content match. Surfaces that
+        reason about SURFACE forms (prefix / fuzzy / wildcard
+        expansion, match_bool_prefix, suggesters, synonym,
+        query_string / KQL / simple_query_string parsing,
+        sparse_vector keys) and those pairing each token across
+        unstemmed fields (the path field's own analyzer,
+        combined_fields, cross_fields) keep the base tokenizer — the ES
         analogy is a multi-field mapping whose ``.stemmed`` subfield
         serves match while ``keyword``-ish subfields serve the rest."""
         from ..analysis.tokenizer import analyze_py
@@ -1556,7 +1603,7 @@ class SearchEngine:
                 "index was built without the scored path field; rebuild "
                 "with IndexConfig(index_path_field=True)")
         mx = int(self.stats["max_token_len"])
-        ct = sorted(set(tokenize_py(content_query, mx)))
+        ct = sorted(set(self._toks(content_query)))
         pt = sorted("p:" + t for t in set(tokenize_py(path_query, mx)))
         if not ct and not pt:
             return self._format_result([], with_meta)
@@ -1565,22 +1612,9 @@ class SearchEngine:
             strategy = "taat" if n <= self.taat_max_docs else "wand"
         if strategy == "taat":
             self._ensure_contribs(ct + pt)
-            acc = np.zeros(n, dtype=np.float64)
-            for t in sorted(ct + pt):  # one global order, like the SQL
-                hit = self._contrib_cache.get(t)
-                if hit is None:
-                    continue
-                ids, contrib, _df = hit
-                boost = path_boost if t.startswith("p:") else 1.0
-                acc[ids] += boost * contrib
-            self._mask_tombstones(acc)
-            cand = np.flatnonzero(acc > 0.0)
-            if cand.size == 0:
-                return self._format_result([], with_meta)
-            scores = acc[cand]
-            order = np.lexsort((cand, -scores))[:k]
-            topk = [(int(cand[i]), float(scores[i])) for i in order]
-            return self._format_result(topk, with_meta)
+            # one global term order, like the SQL
+            acc = self._accumulate(sorted(ct + pt), path_boost)
+            return self._format_result(self._hits(acc, k), with_meta)
         # WAND: mixed-field cursors; per-field avgdl + boosted idf
         avgdl = self.stats["avgdl"]
         path_avgdl = float(self.stats.get("path_avgdl") or 0.0) or 1.0
@@ -1620,20 +1654,13 @@ class SearchEngine:
         metadata is read (the ES doc-values trick, posting-style)."""
         terms = sorted(set(self._toks(text)))
         self._ensure_contribs(terms)
-        present = [self._contrib_cache[t][0] for t in terms
-                   if self._contrib_cache.get(t) is not None]
-        schema = pa.schema([("doc_id", pa.int64()),
-                            (field, pa.string())])
-        if not present:
-            return schema.empty_table()
-        matches = (present[0] if len(present) == 1
-                   else np.unique(np.concatenate(present)))
+        matches = self._union_ids(terms)
+        if not matches.size:
+            return pa.schema([("doc_id", pa.int64()),
+                              (field, pa.string())]).empty_table()
         matches = self._drop_tombstones(matches)
         prefix = f"{field}:"
-        values = ray.get([s.expand_terms.remote(prefix, 1 << 20, True)
-                          for s in self.shards])
-        fterms = sorted(t for tbl in values
-                        for t in tbl["term"].to_pylist())
+        fterms = self._field_terms(field)
         self._ensure_contribs(fterms)
         out_ids, out_vals = [], []
         for ft in fterms:
@@ -1670,18 +1697,10 @@ class SearchEngine:
         that value's posting ids. Returns (doc_id, field, score)."""
         terms = sorted(set(self._toks(text)))
         self._ensure_contribs(terms)
-        n = int(self.stats["n_docs"])
-        acc = np.zeros(n, dtype=np.float64)
-        for t in terms:
-            hit = self._contrib_cache.get(t)
-            if hit is not None:
-                acc[hit[0]] += hit[1]
+        acc = self._accumulate(terms)
         self._mask_tombstones(acc)
         prefix = f"{field}:"
-        values = ray.get([s.expand_terms.remote(prefix, 1 << 20, True)
-                          for s in self.shards])
-        fterms = sorted(t for tbl in values
-                        for t in tbl["term"].to_pylist())
+        fterms = self._field_terms(field)
         self._ensure_contribs(fterms)
         rows = []
         for ft in fterms:
@@ -1693,10 +1712,8 @@ class SearchEngine:
             m = s > 0.0
             if not m.any():
                 continue
-            ids_m, s_m = ids[m], s[m]
-            best = np.lexsort((ids_m, -s_m))[0]
-            rows.append((int(ids_m[best]), ft[len(prefix):],
-                         float(s_m[best])))
+            (best, score), = top_k(ids[m], s[m], 1)
+            rows.append((best, ft[len(prefix):], score))
         rows.sort(key=lambda r: (-r[2], r[0]))
         rows = rows[:k]
         return pa.table({
@@ -1716,18 +1733,10 @@ class SearchEngine:
         hit_rank) order."""
         terms = sorted(set(self._toks(text)))
         self._ensure_contribs(terms)
-        n = int(self.stats["n_docs"])
-        acc = np.zeros(n, dtype=np.float64)
-        for t in terms:
-            hit = self._contrib_cache.get(t)
-            if hit is not None:
-                acc[hit[0]] += hit[1]
+        acc = self._accumulate(terms)
         self._mask_tombstones(acc)
         prefix = f"{field}:"
-        values = ray.get([s.expand_terms.remote(prefix, 1 << 20, True)
-                          for s in self.shards])
-        fterms = sorted(t for tbl in values
-                        for t in tbl["term"].to_pylist())
+        fterms = self._field_terms(field)
         self._ensure_contribs(fterms)
         groups = []
         for ft in fterms:
@@ -1739,10 +1748,8 @@ class SearchEngine:
             m = s > 0.0
             if not m.any():
                 continue
-            ids_m, s_m = ids[m], s[m]
-            order = np.lexsort((ids_m, -s_m))[:inner_size]
-            hits = [(int(ids_m[i]), float(s_m[i])) for i in order]
-            groups.append((ft[len(prefix):], hits))
+            groups.append((ft[len(prefix):],
+                           top_k(ids[m], s[m], inner_size)))
         groups.sort(key=lambda g: (-g[1][0][1], g[1][0][0]))
         groups = groups[:k]
         f_out, r_out, d_out, s_out = [], [], [], []
@@ -1807,13 +1814,7 @@ class SearchEngine:
         _count and the broadcast side of scroll-style exports."""
         terms = sorted(set(self._toks(text)))
         self._ensure_contribs(terms)
-        present = [self._contrib_cache[t][0] for t in terms
-                   if self._contrib_cache.get(t) is not None]
-        if not present:
-            return np.empty(0, dtype=np.int64)
-        matches = (present[0] if len(present) == 1
-                   else np.unique(np.concatenate(present)))
-        return self._drop_tombstones(matches)
+        return self._drop_tombstones(self._union_ids(terms))
 
     def match_count(self, text: str) -> int:
         """ES _count analog: len(match_ids)."""
@@ -1848,26 +1849,11 @@ class SearchEngine:
                 decoded=decoded, after=after)
             return self._format_result(topk, with_meta)
         self._ensure_contribs(terms)
-        acc = np.zeros(n, dtype=np.float64)
-        for t in terms:  # sorted-term order = the oracle's addition order
-            hit = self._contrib_cache.get(t)
-            if hit is None:
-                continue
-            ids, contrib, _df = hit
-            acc[ids] += contrib
-        self._mask_tombstones(acc)
-        cand = np.flatnonzero(acc > 0.0)
-        if after is not None:
+        acc = self._accumulate(terms)
+        if after is not None:  # zero every doc at or before the cursor
             s, d = float(after[0]), int(after[1])
-            scores = acc[cand]
-            keep = (scores < s) | ((scores == s) & (cand > d))
-            cand = cand[keep]
-        if cand.size == 0:
-            return self._format_result([], with_meta)
-        scores = acc[cand]
-        order = np.lexsort((cand, -scores))[:k]
-        topk = [(int(cand[i]), float(scores[i])) for i in order]
-        return self._format_result(topk, with_meta)
+            acc[(acc > s) | ((acc == s) & (np.arange(n) <= d))] = 0.0
+        return self._format_result(self._hits(acc, k), with_meta)
 
     def more_like_this(self, doc_id: int, max_terms: int = 5,
                        k: int = 10, with_meta: bool = False) -> pa.Table:
@@ -1899,29 +1885,10 @@ class SearchEngine:
         if not terms:
             return self._format_result([], with_meta)
         self._ensure_contribs(terms)
-        exclude = np.array([doc_id], dtype=np.int64)
-        res = self._search_taat_excluding(terms, k, exclude)
-        return self._format_result(res, with_meta)
-
-    def _search_taat_excluding(self, terms: list[str], k: int,
-                               exclude: np.ndarray
-                               ) -> list[tuple[int, float]]:
-        n = int(self.stats["n_docs"])
-        acc = np.zeros(n, dtype=np.float64)
-        for t in terms:
-            hit = self._contrib_cache.get(t)
-            if hit is None:
-                continue
-            ids, contrib, _df = hit
-            acc[ids] += contrib
-        acc[exclude[exclude < n]] = 0.0
-        self._mask_tombstones(acc)
-        cand = np.flatnonzero(acc > 0.0)
-        if cand.size == 0:
-            return []
-        scores = acc[cand]
-        order = np.lexsort((cand, -scores))[:k]
-        return [(int(cand[i]), float(scores[i])) for i in order]
+        acc = self._accumulate(terms)
+        if doc_id < n:
+            acc[doc_id] = 0.0  # the source doc never matches itself
+        return self._format_result(self._hits(acc, k), with_meta)
 
     def highlight(self, doc_ids: list[int], term: str,
                   before: int = 40, width: int = 96) -> pa.Table:
@@ -2072,12 +2039,7 @@ class SearchEngine:
         if not terms:
             return self._format_result([], with_meta)
         self._ensure_contribs(terms)
-        n = int(self.stats["n_docs"])
-        acc = np.zeros(n, dtype=np.float64)
-        for t in terms:  # sorted-term order — the scoring contract
-            hit = self._contrib_cache.get(t)
-            if hit is not None:
-                acc[hit[0]] += hit[1]
+        acc = self._accumulate(terms)
         for field in sorted(weights):
             for value in sorted(weights[field]):
                 ft = f"{field}:{value}"
@@ -2085,14 +2047,7 @@ class SearchEngine:
                 hit = self._contrib_cache.get(ft)
                 if hit is not None:
                     acc[hit[0]] *= float(weights[field][value])
-        self._mask_tombstones(acc)
-        cand = np.flatnonzero(acc > 0.0)
-        if cand.size == 0:
-            return self._format_result([], with_meta)
-        scores = acc[cand]
-        order = np.lexsort((cand, -scores))[:k]
-        topk = [(int(cand[i]), float(scores[i])) for i in order]
-        return self._format_result(topk, with_meta)
+        return self._format_result(self._hits(acc, k), with_meta)
 
     def dis_max_search(self, content_query: str = "",
                        path_query: str = "", path_boost: float = 2.0,
@@ -2111,33 +2066,17 @@ class SearchEngine:
                 "index was built without the scored path field; rebuild "
                 "with IndexConfig(index_path_field=True)")
         mx = int(self.stats["max_token_len"])
-        ct = sorted(set(tokenize_py(content_query, mx)))
+        ct = sorted(set(self._toks(content_query)))
         pt = sorted("p:" + t for t in set(tokenize_py(path_query, mx)))
         if not ct and not pt:
             return self._format_result([], with_meta)
         self._ensure_contribs(ct + pt)
-        n = int(self.stats["n_docs"])
-        acc_c = np.zeros(n, dtype=np.float64)
-        acc_p = np.zeros(n, dtype=np.float64)
-        for t in ct:
-            hit = self._contrib_cache.get(t)
-            if hit is not None:
-                acc_c[hit[0]] += hit[1]
-        for t in pt:
-            hit = self._contrib_cache.get(t)
-            if hit is not None:
-                acc_p[hit[0]] += hit[1]
+        acc_c = self._accumulate(ct)
+        acc_p = self._accumulate(pt)
         acc_p *= path_boost
         acc = (np.maximum(acc_c, acc_p)
                + tie_breaker * np.minimum(acc_c, acc_p))
-        self._mask_tombstones(acc)
-        cand = np.flatnonzero(acc > 0.0)
-        if cand.size == 0:
-            return self._format_result([], with_meta)
-        scores = acc[cand]
-        order = np.lexsort((cand, -scores))[:k]
-        topk = [(int(cand[i]), float(scores[i])) for i in order]
-        return self._format_result(topk, with_meta)
+        return self._format_result(self._hits(acc, k), with_meta)
 
     def boosting_search(self, positive: str, negative: str,
                         negative_boost: float = 0.5, k: int = 10,
@@ -2149,34 +2088,17 @@ class SearchEngine:
         Runs in the TAAT regime like function_score_search; the WAND
         scale path inflates bounds by max(1, negative_boost) — bounds
         stay admissible because the multiplier is per-doc and <= 1."""
-        mtl = int(self.stats["max_token_len"])
-        terms = sorted(set(tokenize_py(positive, mtl)))
+        terms = sorted(set(self._toks(positive)))
         if not terms:
             return self._format_result([], with_meta)
         self._ensure_contribs(terms)
-        n = int(self.stats["n_docs"])
-        acc = np.zeros(n, dtype=np.float64)
-        for t in terms:
-            hit = self._contrib_cache.get(t)
-            if hit is not None:
-                acc[hit[0]] += hit[1]
-        neg_terms = sorted(set(tokenize_py(negative, mtl)))
+        acc = self._accumulate(terms)
+        neg_terms = sorted(set(self._toks(negative)))
         self._ensure_contribs(neg_terms)
-        neg_ids = [self._contrib_cache[t][0] for t in neg_terms
-                   if self._contrib_cache.get(t) is not None]
-        if neg_ids:
-            # union first: a doc matching several negative terms is
-            # demoted ONCE (ES boosting semantics)
-            neg_union = np.unique(np.concatenate(neg_ids))
-            acc[neg_union] *= float(negative_boost)
-        self._mask_tombstones(acc)
-        cand = np.flatnonzero(acc > 0.0)
-        if cand.size == 0:
-            return self._format_result([], with_meta)
-        scores = acc[cand]
-        order = np.lexsort((cand, -scores))[:k]
-        return self._format_result(
-            [(int(cand[i]), float(scores[i])) for i in order], with_meta)
+        # union first: a doc matching several negative terms is demoted
+        # ONCE (ES boosting semantics)
+        acc[self._union_ids(neg_terms)] *= float(negative_boost)
+        return self._format_result(self._hits(acc, k), with_meta)
 
     def pinned_search(self, pinned_ids: list[int], text: str,
                       k: int = 10, with_meta: bool = False) -> pa.Table:
@@ -2217,22 +2139,13 @@ class SearchEngine:
         if not terms:
             return self._format_result([], with_meta)
         self._ensure_contribs(terms)
-        n = int(self.stats["n_docs"])
-        acc = np.zeros(n, dtype=np.float64)
-        for t in terms:
-            hit = self._contrib_cache.get(t)
-            if hit is not None:
-                acc[hit[0]] += hit[1]
+        acc = self._accumulate(terms)
         self._mask_tombstones(acc)
         cand = np.flatnonzero(acc > 0.0)
-        if cand.size == 0:
-            return self._format_result([], with_meta)
         dist = np.abs(cand.astype(np.float64) - float(origin))
         scores = acc[cand] + float(weight) * (float(pivot)
                                               / (float(pivot) + dist))
-        order = np.lexsort((cand, -scores))[:k]
-        return self._format_result(
-            [(int(cand[i]), float(scores[i])) for i in order], with_meta)
+        return self._format_result(top_k(cand, scores, k), with_meta)
 
     def field_caps(self) -> pa.Table:
         """ES ``_field_caps`` analog: per-field searchability metadata
@@ -2278,14 +2191,10 @@ class SearchEngine:
             return self._format_result([], with_meta)
         self._ensure_contribs(terms)
         n = int(self.stats["n_docs"])
-        acc = np.zeros(n, dtype=np.float64)
-        present = []
-        for t in terms:
-            hit = self._contrib_cache.get(t)
-            if hit is not None:
-                acc[hit[0]] += hit[1]
-                if not t.startswith("p:"):  # dl = content-field length
-                    present.append(t)
+        acc = self._accumulate(terms)
+        # dl = content-field length
+        present = [t for t in terms if not t.startswith("p:")
+                   and self._contrib_cache.get(t) is not None]
         self._mask_tombstones(acc)
         cand = np.flatnonzero(acc > 0.0)
         if cand.size == 0:
@@ -2304,9 +2213,7 @@ class SearchEngine:
         else:
             raise ValueError(f"unknown rank_feature function: {function}")
         scores = acc[cand] + float(weight) * boost
-        order = np.lexsort((cand, -scores))[:k]
-        return self._format_result(
-            [(int(cand[i]), float(scores[i])) for i in order], with_meta)
+        return self._format_result(top_k(cand, scores, k), with_meta)
 
     def ltr_features(self, text: str, k: int = 10) -> pa.Table:
         """ES 8.12 learning-to-rank FEATURE LOGGING: for the query's
@@ -2409,14 +2316,7 @@ class SearchEngine:
         extends to this scorer when n_docs outgrows the accumulator;
         the dense path matches taat_max_docs like search()."""
         acc = self._sparse_vector_dense(weights)
-        self._mask_tombstones(acc)
-        cand = np.flatnonzero(acc > 0.0)
-        if cand.size == 0:
-            return self._format_result([], with_meta)
-        scores = acc[cand]
-        order = np.lexsort((cand, -scores))[:k]
-        return self._format_result(
-            [(int(cand[i]), float(scores[i])) for i in order], with_meta)
+        return self._format_result(self._hits(acc, k), with_meta)
 
     def _norms_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """(dl, path_dl) float64 arrays indexed by doc_id, from the
@@ -2525,14 +2425,7 @@ class SearchEngine:
         (reset per term by touched ids only). TAAT accumulation in
         sorted-term order."""
         acc = self._combined_fields_dense(text, path_boost)
-        self._mask_tombstones(acc)
-        cand = np.flatnonzero(acc > 0.0)
-        if cand.size == 0:
-            return self._format_result([], with_meta)
-        scores = acc[cand]
-        order = np.lexsort((cand, -scores))[:k]
-        return self._format_result(
-            [(int(cand[i]), float(scores[i])) for i in order], with_meta)
+        return self._format_result(self._hits(acc, k), with_meta)
 
     def constant_score_search(self, text: str, filters: dict | None = None,
                               k: int = 10,
@@ -2543,11 +2436,7 @@ class SearchEngine:
         decode."""
         terms = sorted(set(self._toks(text)))
         self._ensure_contribs(terms)
-        id_sets = [self._contrib_cache[t][0] for t in terms
-                   if self._contrib_cache.get(t) is not None]
-        if not id_sets:
-            return self._format_result([], with_meta)
-        ids = np.unique(np.concatenate(id_sets))
+        ids = self._union_ids(terms)
         allow = self._filter_ids(filters)
         if allow is not None:
             ids = ids[np.isin(ids, allow)]
@@ -2607,14 +2496,7 @@ class SearchEngine:
             if rp is not None:
                 np.maximum.at(tmp, rp[1], rp[2])
             acc += idf * tmp
-        self._mask_tombstones(acc)
-        cand = np.flatnonzero(acc > 0.0)
-        if cand.size == 0:
-            return self._format_result([], with_meta)
-        scores = acc[cand]
-        order = np.lexsort((cand, -scores))[:k]
-        return self._format_result(
-            [(int(cand[i]), float(scores[i])) for i in order], with_meta)
+        return self._format_result(self._hits(acc, k), with_meta)
 
     def synonym_search(self, text: str, synonyms: dict[str, list[str]],
                        k: int = 10, with_meta: bool = False) -> pa.Table:
@@ -2636,20 +2518,8 @@ class SearchEngine:
         if not terms:
             return self._format_result([], with_meta)
         self._ensure_contribs(terms)
-        n = int(self.stats["n_docs"])
-        acc = np.zeros(n, dtype=np.float64)
-        for t in terms:  # sorted-term order — the scoring contract
-            hit = self._contrib_cache.get(t)
-            if hit is not None:
-                acc[hit[0]] += hit[1]
-        self._mask_tombstones(acc)
-        cand = np.flatnonzero(acc > 0.0)
-        if cand.size == 0:
-            return self._format_result([], with_meta)
-        scores = acc[cand]
-        order = np.lexsort((cand, -scores))[:k]
         return self._format_result(
-            [(int(cand[i]), float(scores[i])) for i in order], with_meta)
+            self._search_taat(terms, k, None), with_meta)
 
     def dsl_search(self, body: dict,
                    with_meta: bool = False) -> pa.Table:
@@ -2714,11 +2584,7 @@ class SearchEngine:
         if fl is not None:
             cand = _narrow(fl)
         if cand is None:  # pure-should query: any should term matches
-            present = [self._contrib_cache[t][0] for t in st
-                       if self._contrib_cache.get(t) is not None]
-            if not present:
-                return self._format_result([], with_meta)
-            cand = np.unique(np.concatenate(present))
+            cand = self._union_ids(st)
         for t in nt:
             hit = self._contrib_cache.get(t)
             if hit is not None and cand.size:
@@ -2742,19 +2608,13 @@ class SearchEngine:
         document metadata is read at all."""
         terms = sorted(set(self._toks(text)))
         self._ensure_contribs(terms)
-        present = [self._contrib_cache[t][0] for t in terms
-                   if self._contrib_cache.get(t) is not None]
-        schema = pa.schema([(field, pa.string()), ("n_docs", pa.int64())])
-        if not present:
-            return schema.empty_table()
-        matches = (present[0] if len(present) == 1
-                   else np.unique(np.concatenate(present)))
+        matches = self._union_ids(terms)
+        if not matches.size:
+            return pa.schema([(field, pa.string()),
+                              ("n_docs", pa.int64())]).empty_table()
         matches = self._drop_tombstones(matches)
         prefix = f"{field}:"
-        values = ray.get([s.expand_terms.remote(prefix, 1 << 20, True)
-                          for s in self.shards])
-        fterms = sorted(t for tbl in values
-                        for t in tbl["term"].to_pylist())
+        fterms = self._field_terms(field)
         self._ensure_contribs(fterms)
         out_vals, out_counts = [], []
         for ft in fterms:
@@ -2805,10 +2665,7 @@ class SearchEngine:
         boost = np.asarray([counts.get(int(d), 0) for d in ids],
                            dtype=np.float64)
         final = base + weight * boost
-        order = np.lexsort((ids, -final))[:k]
-        return self._format_result(
-            list(zip(ids[order].tolist(), final[order].tolist())),
-            with_meta)
+        return self._format_result(top_k(ids, final, k), with_meta)
 
     def _filter_deleted_rows(self, res: pa.Table) -> pa.Table:
         if not self._tombstones.size or res.num_rows == 0:
@@ -2994,20 +2851,8 @@ class SearchEngine:
         if not terms:
             return self._format_result([], with_meta)
         self._ensure_contribs(terms)
-        n = int(self.stats["n_docs"])
-        acc = np.zeros(n, dtype=np.float64)
-        for t in terms:  # sorted-term order — the scoring contract
-            hit = self._contrib_cache.get(t)
-            if hit is not None:
-                acc[hit[0]] += hit[1]
-        self._mask_tombstones(acc)
-        cand = np.flatnonzero(acc > 0.0)
-        if cand.size == 0:
-            return self._format_result([], with_meta)
-        scores = acc[cand]
-        order = np.lexsort((cand, -scores))[:k]
         return self._format_result(
-            [(int(cand[i]), float(scores[i])) for i in order], with_meta)
+            self._search_taat(terms, k, None), with_meta)
 
     def terms_set_search(self, terms: list[str], min_match: int,
                          k: int = 10,
@@ -3020,28 +2865,18 @@ class SearchEngine:
         serves this as a top-k with the count predicate applied at
         scoring time (same admissible bounds — dropping docs only ever
         lowers the threshold)."""
-        mtl = int(self.stats["max_token_len"])
-        tset = sorted({t for raw in terms
-                       for t in tokenize_py(raw, mtl)})
+        tset = sorted({t for raw in terms for t in self._toks(raw)})
         if not tset or min_match < 1:
             return self._format_result([], with_meta)
         self._ensure_contribs(tset)
-        n = int(self.stats["n_docs"])
-        acc = np.zeros(n, dtype=np.float64)
-        cnt = np.zeros(n, dtype=np.int32)
+        acc = self._accumulate(tset)
+        cnt = np.zeros(acc.size, dtype=np.int32)
         for t in tset:
             hit = self._contrib_cache.get(t)
             if hit is not None:
-                acc[hit[0]] += hit[1]
                 cnt[hit[0]] += 1
-        self._mask_tombstones(acc)
-        cand = np.flatnonzero((acc > 0.0) & (cnt >= int(min_match)))
-        if cand.size == 0:
-            return self._format_result([], with_meta)
-        scores = acc[cand]
-        order = np.lexsort((cand, -scores))[:k]
-        return self._format_result(
-            [(int(cand[i]), float(scores[i])) for i in order], with_meta)
+        acc[cnt < int(min_match)] = 0.0
+        return self._format_result(self._hits(acc, k), with_meta)
 
     def phrase_topk(self, phrase: str, k: int = 10,
                     with_meta: bool = False,
@@ -3063,9 +2898,8 @@ class SearchEngine:
             # scale path: score the matched ids directly from the blocks
             # that contain them — no N-sized accumulator, no full decode
             # of a hot term's list; bit-identical to the TAAT path
-            totals = self._score_id_set(terms, match_ids)
-            order = np.lexsort((match_ids, -totals))[:k]
-            topk = [(int(match_ids[i]), float(totals[i])) for i in order]
+            topk = top_k(match_ids,
+                         self._score_id_set(terms, match_ids), k)
         return self._format_result(topk, with_meta)
 
     def _wand_seed(self, terms: list[str], k: int,

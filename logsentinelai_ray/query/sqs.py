@@ -27,10 +27,10 @@ from __future__ import annotations
 
 import re
 
-import numpy as np
 import pyarrow as pa
 
 from .kql import kql_ids, positive_text_terms
+from .shards import top_k
 
 # a token: quoted phrase (close-quote optional = lenient), one of the
 # operator/group chars, or a bare word (may carry a trailing *)
@@ -173,9 +173,7 @@ def sqs_search(engine, q: str, k: int = 10,
         return engine._format_result([], with_meta)
     terms = positive_text_terms(engine, ast)
     if terms:
-        totals = engine._score_id_set(terms, ids)
-        order = np.lexsort((ids, -totals))[:k]
-        topk = [(int(ids[i]), float(totals[i])) for i in order]
+        topk = top_k(ids, engine._score_id_set(terms, ids), k)
     else:
         topk = [(int(d), 0.0) for d in ids[:k]]
     return engine._format_result(topk, with_meta)

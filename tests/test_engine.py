@@ -535,8 +535,27 @@ def test_wand_vec_span_windows_and_decoded_cache(engine):
         assert got_mix == exp, (query, "mixed decoded + span windows")
 
 
-def test_stemmed_index_rank_identity(ray_session, small_corpus,
-                                     tmp_path_factory):
+@pytest.fixture(scope="module")
+def stemmed(ray_session, small_corpus, tmp_path_factory):
+    """The fixture corpus built with stem="minimal_english": (index dir,
+    cfg, engine)."""
+    import ray.data as rd
+
+    from logsentinelai_ray.config import IndexConfig
+    from logsentinelai_ray.index.build import build_index
+    from logsentinelai_ray.query.shards import SearchEngine
+
+    cfg = IndexConfig(num_partitions=8, salt_buckets=2, block_size=32,
+                      stem="minimal_english")
+    idx = str(tmp_path_factory.mktemp("stem") / "idx")
+    build_index(rd.from_arrow(small_corpus), idx, cfg,
+                corpus_tag="stem-test")
+    eng = SearchEngine(idx, num_shards=3)
+    yield idx, cfg, eng
+    eng.shutdown()
+
+
+def test_stemmed_index_rank_identity(stemmed, small_corpus):
     """stem="minimal_english" end-to-end: pluralized queries hit the
     stemmed dictionary (query terms stem through the SAME rule), and
     TAAT + forced WAND both equal the analyzer-aware oracle
@@ -547,33 +566,24 @@ def test_stemmed_index_rank_identity(ray_session, small_corpus,
     from logsentinelai_ray.config import IndexConfig
     from logsentinelai_ray.index.build import build_index
     from logsentinelai_ray.query.bm25 import BM25Oracle
-    from logsentinelai_ray.query.shards import SearchEngine
 
-    cfg = IndexConfig(num_partitions=8, salt_buckets=2, block_size=32,
-                      stem="minimal_english")
-    idx = str(tmp_path_factory.mktemp("stem") / "idx")
-    build_index(rd.from_arrow(small_corpus), idx, cfg,
-                corpus_tag="stem-test")
-    eng = SearchEngine(idx, num_shards=3)
+    idx, cfg, eng = stemmed
     docs = pq.read_table(f"{idx}/docs")
     orc = BM25Oracle(list(zip(docs["doc_id"].to_pylist(),
                               docs["content"].to_pylist())), None, cfg)
-    try:
-        for q in ["authentication failures errors",
-                  "merges windows", "sorted arrays values"]:
-            exp = orc.search(q, k=10)
-            for strat in ("taat", "wand"):
-                res = eng.search(q, k=10, with_meta=False,
-                                 strategy=strat).to_pandas()
-                got = list(zip(res["doc_id"].tolist(),
-                               res["score"].tolist()))
-                assert got == exp, (strat, q)
-        # singular and plural query forms retrieve identically
-        a = eng.search("errors", k=5, with_meta=False).to_pandas()
-        b = eng.search("error", k=5, with_meta=False).to_pandas()
-        assert a["doc_id"].tolist() == b["doc_id"].tolist()
-    finally:
-        eng.shutdown()
+    for q in ["authentication failures errors",
+              "merges windows", "sorted arrays values"]:
+        exp = orc.search(q, k=10)
+        for strat in ("taat", "wand"):
+            res = eng.search(q, k=10, with_meta=False,
+                             strategy=strat).to_pandas()
+            got = list(zip(res["doc_id"].tolist(),
+                           res["score"].tolist()))
+            assert got == exp, (strat, q)
+    # singular and plural query forms retrieve identically
+    a = eng.search("errors", k=5, with_meta=False).to_pandas()
+    b = eng.search("error", k=5, with_meta=False).to_pandas()
+    assert a["doc_id"].tolist() == b["doc_id"].tolist()
     with pytest.raises(ValueError, match="store_positions"):
         build_index(rd.from_arrow(small_corpus), idx + "_bad",
                     IndexConfig(stem="minimal_english",
@@ -582,6 +592,31 @@ def test_stemmed_index_rank_identity(ray_session, small_corpus,
     with pytest.raises(ValueError, match="unknown stemmer"):
         build_index(rd.from_arrow(small_corpus), idx + "_bad2",
                     IndexConfig(stem="porter2"), corpus_tag="bad2")
+
+
+# (surface, call with the query's content text): every content-field
+# query runs the index's stem filter, so plural and singular agree
+_STEMMED_SURFACES = {
+    "boosting": lambda e, w: e.boosting_search(f"{w} failure",
+                                               "window"),
+    "boosting_negative": lambda e, w: e.boosting_search(
+        "failure authentication", w),
+    "dis_max": lambda e, w: e.dis_max_search(content_query=w),
+    "search_fields": lambda e, w: e.search_fields(content_query=w),
+    "terms_set": lambda e, w: e.terms_set_search([w, "failure"], 1),
+    "dsl_match": lambda e, w: e.dsl_search(
+        {"query": {"match": {"content": w}}}),
+}
+
+
+@pytest.mark.parametrize("surface", sorted(_STEMMED_SURFACES))
+def test_stemmed_content_surfaces_plural_parity(stemmed, surface):
+    _, _, eng = stemmed
+    call = _STEMMED_SURFACES[surface]
+    plural, singular = call(eng, "errors"), call(eng, "error")
+    assert singular.num_rows > 0
+    assert plural["doc_id"].to_pylist() == singular["doc_id"].to_pylist()
+    assert plural["score"].to_pylist() == singular["score"].to_pylist()
 
 
 def test_profile_counters_and_pruning(engine, oracle):
