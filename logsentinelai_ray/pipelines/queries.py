@@ -3178,7 +3178,7 @@ PREFIX_QUERY = "s"
 def q_prefix_df(sf_dir: str):
     """ES prefix-query term expansion: every content term starting with
     the prefix with its document frequency — a parallel dictionary scan
-    across the index shards (query/shards.py expand_terms)."""
+    across the index shards (query/shards.py IndexShard.scan_terms)."""
     eng = _docs_engine(sf_dir)
     return eng.expand_prefix(PREFIX_QUERY)
 

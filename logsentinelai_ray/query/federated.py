@@ -45,10 +45,9 @@ import numpy as np
 import pyarrow as pa
 
 from ..analysis.tokenizer import tokenize_py
-from ..index.build import term_partition
 from .bm25 import bm25_idf
 from .postings import PostingsCursor, TermPostings
-from .shards import top_k
+from .shards import _gather, top_k
 from .wand import block_max_wand_vec
 
 
@@ -89,21 +88,15 @@ class FederatedSearch:
             return self._search_wand(terms, df_g, k)
         # query phase: one parallel decode wave across all members'
         # shards, global avgdl + global-idf override
-        import ray
-
-        futures = []
+        refs = {}
         for ei, e in enumerate(self.engines):
-            for t in terms:
-                if member_dfs[ei].get(t, 0) == 0 or df_g[t] == 0:
-                    continue
-                shard = e.part_to_shard[term_partition(t, e.P)]
-                futures.append((ei, shard.decode_term.remote(
-                    t, self.n_global, self.k1, self.b,
-                    self.avgdl_global,
-                    bm25_idf(self.n_global, df_g[t]))))
+            sent = e._term_refs("decode_term", {
+                t: (self.n_global, self.k1, self.b, self.avgdl_global,
+                    bm25_idf(self.n_global, df_g[t]))
+                for t in terms if member_dfs[ei].get(t, 0)})
+            refs.update(((ei, t), ref) for t, ref in sent.items())
         acc = np.zeros(self.n_global, dtype=np.float64)
-        for (ei, _), res in zip(futures,
-                                ray.get([f for _, f in futures])):
+        for (ei, _), res in _gather(refs).items():
             if res is None:
                 continue
             _df, ids, contrib = res

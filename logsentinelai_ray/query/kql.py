@@ -253,9 +253,9 @@ def kql_ids(engine, node) -> np.ndarray:
 def positive_text_terms(engine, node) -> list[str]:
     """The scoring terms: every content term/phrase-token/prefix
     expansion NOT under a ``not`` and NOT inside a field clause —
-    Kibana ranks filter-context hits by relevance of the text part."""
-    from ..analysis.tokenizer import tokenize_py
-
+    Kibana ranks filter-context hits by relevance of the text part.
+    Terms and phrases analyze through the content analyzer that
+    ``match_ids`` matches with (the index's stem filter included)."""
     out: set[str] = set()
 
     def walk(n, negated: bool):
@@ -269,12 +269,8 @@ def positive_text_terms(engine, node) -> list[str]:
             return
         elif negated:
             return
-        elif k == "term":
-            out.update(tokenize_py(n[1],
-                                   int(engine.stats["max_token_len"])))
-        elif k == "phrase":
-            out.update(tokenize_py(n[1],
-                                   int(engine.stats["max_token_len"])))
+        elif k in ("term", "phrase"):
+            out.update(engine._toks(n[1]))
         elif k == "prefix":
             out.update(engine.expand_prefix(n[1])["term"].to_pylist())
 

@@ -46,6 +46,39 @@ def _empty_result() -> pa.Table:
     return PHRASE_RESULT_SCHEMA.empty_table()
 
 
+def _require_positions(engine, what: str) -> None:
+    if not engine.stats.get("store_positions"):
+        raise ValueError(
+            "index was built without the positions sidecar; rebuild with "
+            f"IndexConfig(store_positions=True) to serve {what} queries")
+
+
+def _verify(engine, task, cand: np.ndarray | None, chunk_docs: int,
+            *args, **kw) -> pa.Table:
+    """The one verify fan-out: ``task.remote(index_dir, lo, hi, cand,
+    *args, **kw)`` per chunk, in one wave, the matched rows merged by
+    doc_id. Candidate plan: ``cand`` (sorted ids) split into chunks of
+    at most ``chunk_docs``. Range plan (``cand`` None): the whole doc-id
+    space cut into ``chunk_docs``-wide ranges, each with no candidate
+    array. Chunks stay below 2^31 docs, the key-pack range bound."""
+    chunk_docs = min(chunk_docs, 2 ** 31 - 1)
+    if cand is None:
+        n_docs = int(engine.stats["n_docs"])
+        chunks = [(lo, min(lo + chunk_docs - 1, n_docs - 1), None)
+                  for lo in range(0, n_docs, chunk_docs)]
+    else:
+        if cand.size == 0:
+            return _empty_result()
+        chunks = [(int(c[0]), int(c[-1]), c) for c in np.array_split(
+            cand, max(1, -(-cand.size // chunk_docs)))]
+    tables = [t for t in ray.get([
+        task.remote(engine.index_dir, lo, hi, c, *args, **kw)
+        for lo, hi, c in chunks]) if t.num_rows]
+    if not tables:
+        return _empty_result()
+    return pa.concat_tables(tables).sort_by("doc_id")
+
+
 def _slot_positions(index_dir: str, slot: list[tuple[str, int]],
                     lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     """All (doc_id, pos) occurrences in [lo, hi] of any of the slot's
@@ -72,9 +105,9 @@ def _slot_positions(index_dir: str, slot: list[tuple[str, int]],
 
 
 @ray.remote(num_cpus=1)
-def _phrase_verify(index_dir: str, slots: list[list[tuple[str, int]]],
-                   lo: int, hi: int,
-                   cand: np.ndarray | None = None) -> pa.Table:
+def _phrase_verify(index_dir: str, lo: int, hi: int,
+                   cand: np.ndarray | None,
+                   slots: list[list[tuple[str, int]]]) -> pa.Table:
     """Verify one doc-id range [lo, hi] against the positions sidecar,
     optionally restricted to a sorted candidate-id array. ``slots`` is
     one list of (term, part) alternatives per phrase position.
@@ -111,11 +144,11 @@ def _phrase_verify(index_dir: str, slots: list[list[tuple[str, int]]],
 
 
 @ray.remote(num_cpus=1)
-def _proximity_verify(index_dir: str, slot1: list[tuple[str, int]],
+def _proximity_verify(index_dir: str, lo: int, hi: int,
+                      cand: np.ndarray | None,
+                      slot1: list[tuple[str, int]],
                       slot2: list[tuple[str, int]], window: int,
-                      lo: int, hi: int,
-                      cand: np.ndarray | None = None,
-                      mode: str = "unordered") -> pa.Table:
+                      mode: str) -> pa.Table:
     """Count, per doc in [lo, hi], the (i, j) position pairs with
     term1@i, term2@j qualifying under ``mode``:
 
@@ -182,10 +215,7 @@ def proximity_match(engine, term1: str, term2: str, window: int = 3,
     from ..analysis.tokenizer import tokenize_py
     from ..index.build import term_partition
 
-    if not engine.stats.get("store_positions"):
-        raise ValueError(
-            "index was built without the positions sidecar; rebuild with "
-            "IndexConfig(store_positions=True) to serve proximity queries")
+    _require_positions(engine, "proximity")
     t1 = tokenize_py(term1, int(engine.stats["max_token_len"]))
     t2 = tokenize_py(term2, int(engine.stats["max_token_len"]))
     if len(t1) != 1 or len(t2) != 1 or t1 == t2:
@@ -200,7 +230,7 @@ def proximity_match(engine, term1: str, term2: str, window: int = 3,
         return _empty_result()
     slot1 = [(t1, term_partition(t1, engine.P))]
     slot2 = [(t2, term_partition(t2, engine.P))]
-    chunk_docs = min(chunk_docs, 2 ** 31 - 1)
+    cand = None
     if min(dfs[t1], dfs[t2]) <= candidate_max_df:
         engine._ensure_contribs([t1, t2])
         h1, h2 = (engine._contrib_cache.get(t1),
@@ -208,26 +238,8 @@ def proximity_match(engine, term1: str, term2: str, window: int = 3,
         if h1 is None or h2 is None:
             return _empty_result()
         cand = np.intersect1d(h1[0], h2[0], assume_unique=True)
-        if cand.size == 0:
-            return _empty_result()
-        n_chunks = max(1, -(-cand.size // chunk_docs))
-        futures = [
-            _proximity_verify.remote(engine.index_dir, slot1, slot2,
-                                     window, int(c[0]), int(c[-1]), c,
-                                     mode)
-            for c in np.array_split(cand, n_chunks)]
-    else:
-        n_docs = int(engine.stats["n_docs"])
-        futures = [
-            _proximity_verify.remote(engine.index_dir, slot1, slot2,
-                                     window, lo,
-                                     min(lo + chunk_docs - 1, n_docs - 1),
-                                     None, mode)
-            for lo in range(0, n_docs, chunk_docs)]
-    tables = [t for t in ray.get(futures) if t.num_rows]
-    if not tables:
-        return _empty_result()
-    return pa.concat_tables(tables).sort_by("doc_id")
+    return _verify(engine, _proximity_verify, cand, chunk_docs, slot1,
+                   slot2, window, mode)
 
 
 def phrase_match(engine, phrase: str, chunk_docs: int = 200_000,
@@ -293,10 +305,7 @@ def _run_phrase(engine, slots: list[list[str]], chunk_docs: int,
     docs are ever verified — the range plan is never needed."""
     from ..index.build import term_partition
 
-    if not engine.stats.get("store_positions"):
-        raise ValueError(
-            "index was built without the positions sidecar; rebuild with "
-            "IndexConfig(store_positions=True) to serve phrase queries")
+    _require_positions(engine, "phrase")
     uniq = sorted({t for slot in slots for t in slot})
     dfs = engine._term_dfs(uniq)
     slot_dfs = [sum(dfs[t] for t in slot) for slot in slots]
@@ -304,17 +313,9 @@ def _run_phrase(engine, slots: list[list[str]], chunk_docs: int,
         return _empty_result()
     part_slots = [[(t, term_partition(t, engine.P)) for t in slot
                    if dfs[t] > 0] for slot in slots]
-    chunk_docs = min(chunk_docs, 2 ** 31 - 1)  # key-pack range bound
-
+    cand = None
     if restrict_ids is not None:
         cand = np.unique(np.asarray(restrict_ids, dtype=np.int64))
-        if cand.size == 0:
-            return _empty_result()
-        n_chunks = max(1, -(-cand.size // chunk_docs))
-        futures = [
-            _phrase_verify.remote(engine.index_dir, part_slots,
-                                  int(chunk[0]), int(chunk[-1]), chunk)
-            for chunk in np.array_split(cand, n_chunks)]
     elif min(slot_dfs) <= candidate_max_df:
         engine._ensure_contribs(uniq)
         per_slot = []
@@ -329,27 +330,13 @@ def _run_phrase(engine, slots: list[list[str]], chunk_docs: int,
             cand = np.intersect1d(cand, ids, assume_unique=True)
             if cand.size == 0:
                 return _empty_result()
-        n_chunks = max(1, -(-cand.size // chunk_docs))
-        futures = [
-            _phrase_verify.remote(engine.index_dir, part_slots,
-                                  int(chunk[0]), int(chunk[-1]), chunk)
-            for chunk in np.array_split(cand, n_chunks)]
-    else:
-        n_docs = int(engine.stats["n_docs"])
-        futures = [
-            _phrase_verify.remote(engine.index_dir, part_slots,
-                                  lo, min(lo + chunk_docs - 1, n_docs - 1))
-            for lo in range(0, n_docs, chunk_docs)]
-    tables = [t for t in ray.get(futures) if t.num_rows]
-    if not tables:
-        return _empty_result()
-    return pa.concat_tables(tables).sort_by("doc_id")
+    return _verify(engine, _phrase_verify, cand, chunk_docs, part_slots)
 
 
 @ray.remote(num_cpus=1)
-def _span_occ_verify(index_dir: str, slot: list[tuple[str, int]],
-                     lo: int, hi: int,
-                     cand: np.ndarray | None = None,
+def _span_occ_verify(index_dir: str, lo: int, hi: int,
+                     cand: np.ndarray | None,
+                     slot: list[tuple[str, int]],
                      max_end: int | None = None,
                      excl_slot: list[tuple[str, int]] | None = None,
                      pre: int = 0, post: int = 0) -> pa.Table:
@@ -397,40 +384,23 @@ def _run_span_occ(engine, term: str, chunk_docs: int,
     from ..analysis.tokenizer import tokenize_py
     from ..index.build import term_partition
 
-    if not engine.stats.get("store_positions"):
-        raise ValueError(
-            "index was built without the positions sidecar; rebuild with "
-            "IndexConfig(store_positions=True) to serve span queries")
+    _require_positions(engine, "span")
     toks = tokenize_py(term, int(engine.stats["max_token_len"]))
     if len(toks) != 1:
         raise ValueError("span queries take a single include term")
     t = toks[0]
-    if engine._term_dfs([t])[t] == 0:
+    df = engine._term_dfs([t])[t]
+    if df == 0:
         return _empty_result()
-    slot = [(t, term_partition(t, engine.P))]
-    chunk_docs = min(chunk_docs, 2 ** 31 - 1)
-    if engine._term_dfs([t])[t] <= candidate_max_df:
+    cand = None
+    if df <= candidate_max_df:
         engine._ensure_contribs([t])
         hit = engine._contrib_cache.get(t)
         if hit is None:
             return _empty_result()
         cand = hit[0]
-        n_chunks = max(1, -(-cand.size // chunk_docs))
-        futures = [
-            _span_occ_verify.remote(engine.index_dir, slot,
-                                    int(c[0]), int(c[-1]), c, **kw)
-            for c in np.array_split(cand, n_chunks)]
-    else:
-        n_docs = int(engine.stats["n_docs"])
-        futures = [
-            _span_occ_verify.remote(engine.index_dir, slot, lo,
-                                    min(lo + chunk_docs - 1, n_docs - 1),
-                                    None, **kw)
-            for lo in range(0, n_docs, chunk_docs)]
-    tables = [x for x in ray.get(futures) if x.num_rows]
-    if not tables:
-        return _empty_result()
-    return pa.concat_tables(tables).sort_by("doc_id")
+    return _verify(engine, _span_occ_verify, cand, chunk_docs,
+                   [(t, term_partition(t, engine.P))], **kw)
 
 
 def span_first_match(engine, term: str, end: int,
@@ -485,46 +455,26 @@ def span_or_match(engine, terms: list[str], chunk_docs: int = 200_000,
     from ..analysis.tokenizer import tokenize_py
     from ..index.build import term_partition
 
-    if not engine.stats.get("store_positions"):
-        raise ValueError(
-            "index was built without the positions sidecar; rebuild with "
-            "IndexConfig(store_positions=True) to serve span queries")
+    _require_positions(engine, "span")
     mtl = int(engine.stats["max_token_len"])
     toks = sorted({t for raw in terms for t in tokenize_py(raw, mtl)})
     dfs = engine._term_dfs(toks)
     live = [t for t in toks if dfs[t] > 0]
     if not live:
         return _empty_result()
-    slot = [(t, term_partition(t, engine.P)) for t in live]
-    chunk_docs = min(chunk_docs, 2 ** 31 - 1)
-    union_df = sum(dfs[t] for t in live)
-    if union_df <= candidate_max_df:
+    cand = None
+    if sum(dfs[t] for t in live) <= candidate_max_df:
         engine._ensure_contribs(live)
         cand = engine._union_ids(live)
-        if not cand.size:
-            return _empty_result()
-        n_chunks = max(1, -(-cand.size // chunk_docs))
-        futures = [
-            _span_occ_verify.remote(engine.index_dir, slot,
-                                    int(c[0]), int(c[-1]), c)
-            for c in np.array_split(cand, n_chunks)]
-    else:
-        n_docs = int(engine.stats["n_docs"])
-        futures = [
-            _span_occ_verify.remote(engine.index_dir, slot, lo,
-                                    min(lo + chunk_docs - 1, n_docs - 1))
-            for lo in range(0, n_docs, chunk_docs)]
-    tables = [x for x in ray.get(futures) if x.num_rows]
-    if not tables:
-        return _empty_result()
-    return pa.concat_tables(tables).sort_by("doc_id")
+    return _verify(engine, _span_occ_verify, cand, chunk_docs,
+                   [(t, term_partition(t, engine.P)) for t in live])
 
 
 @ray.remote(num_cpus=1)
-def _span_contain_verify(index_dir: str, big1_slot, big2_slot,
-                         little_slot, lo: int, hi: int,
-                         cand: np.ndarray | None,
-                         max_dist: int, mode: str) -> pa.Table:
+def _span_contain_verify(index_dir: str, lo: int, hi: int,
+                         cand: np.ndarray | None, big1_slot, big2_slot,
+                         little_slot, max_dist: int,
+                         mode: str) -> pa.Table:
     """Per-doc counts for span_containing / span_within in [lo, hi].
 
     Big spans are Lucene-minimal ordered spans: for each occurrence i
@@ -600,10 +550,7 @@ def span_contain_match(engine, big_first: str, big_last: str,
     from ..analysis.tokenizer import tokenize_py
     from ..index.build import term_partition
 
-    if not engine.stats.get("store_positions"):
-        raise ValueError(
-            "index was built without the positions sidecar; rebuild with "
-            "IndexConfig(store_positions=True) to serve span queries")
+    _require_positions(engine, "span")
     if max_dist < 1:
         raise ValueError("max_dist must be >= 1")
     mtl = int(engine.stats["max_token_len"])
@@ -619,7 +566,7 @@ def span_contain_match(engine, big_first: str, big_last: str,
     if min(dfs.values()) == 0:
         return _empty_result()
     slots = [[(t, term_partition(t, engine.P))] for t in terms]
-    chunk_docs = min(chunk_docs, 2 ** 31 - 1)
+    cand = None
     if sum(dfs.values()) <= candidate_max_df:
         engine._ensure_contribs(terms)
         id_sets = [engine._contrib_cache[t][0] for t in terms
@@ -628,23 +575,5 @@ def span_contain_match(engine, big_first: str, big_last: str,
             return _empty_result()
         cand = np.intersect1d(np.intersect1d(id_sets[0], id_sets[1]),
                               id_sets[2])
-        if cand.size == 0:
-            return _empty_result()
-        n_chunks = max(1, -(-cand.size // chunk_docs))
-        futures = [
-            _span_contain_verify.remote(
-                engine.index_dir, slots[0], slots[1], slots[2],
-                int(c[0]), int(c[-1]), c, int(max_dist), mode)
-            for c in np.array_split(cand, n_chunks)]
-    else:
-        n_docs = int(engine.stats["n_docs"])
-        futures = [
-            _span_contain_verify.remote(
-                engine.index_dir, slots[0], slots[1], slots[2], lo,
-                min(lo + chunk_docs - 1, n_docs - 1), None,
-                int(max_dist), mode)
-            for lo in range(0, n_docs, chunk_docs)]
-    tables = [x for x in ray.get(futures) if x.num_rows]
-    if not tables:
-        return _empty_result()
-    return pa.concat_tables(tables).sort_by("doc_id")
+    return _verify(engine, _span_contain_verify, cand, chunk_docs, *slots,
+                   int(max_dist), mode)

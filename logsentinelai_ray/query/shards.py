@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 import os
 import re
+from functools import partial
 
 import numpy as np
 import pyarrow as pa
@@ -144,6 +145,77 @@ def _damerau_leq(a: str, b: str, k: int) -> bool:
     return d[la + 1][lb + 1] <= k
 
 
+# IndexShard.scan_terms: the sort orders a dictionary scan ranks by —
+# the ES top_terms_N rewrite (df desc), rare_terms (df asc), and
+# terms_enum / keyword listing (term asc). Terms are unique, so each
+# order is total and per-shard heads merge losslessly on the driver.
+_SCAN_ORDERS = {
+    "df": [("df", "descending"), ("term", "ascending")],
+    "rare": [("df", "ascending"), ("term", "ascending")],
+    "term": [("term", "ascending")],
+}
+
+
+def _first_rows(tables: list[pa.Table], order: str,
+                limit: int) -> pa.Table:
+    """The first ``limit`` (term, df) rows of ``tables`` in ``order``:
+    a shard's scan result, and the driver's merge of those results."""
+    tables = [t for t in tables if t.num_rows]
+    if not tables:
+        return pa.table({"term": pa.array([], pa.string()),
+                         "df": pa.array([], pa.int64())})
+    cat = pa.concat_tables(tables)
+    idx = pc.sort_indices(cat, sort_keys=_SCAN_ORDERS[order])
+    return cat.take(idx.slice(0, limit))
+
+
+# scan_terms predicates, (terms, dfs) -> keep mask, sent to the shards
+# bound with functools.partial; field terms ("lang:x") are content
+# terms' exception and only _match_prefix(fields=True) keeps them
+def _content(terms):
+    return pc.invert(pc.match_substring(terms, ":"))
+
+
+def _match_prefix(prefix: str, fields: bool, terms, dfs):
+    m = pc.starts_with(terms, prefix)
+    return m if fields else pc.and_(m, _content(terms))
+
+
+def _match_regex(pattern: str, terms, dfs):
+    """RE2 full match (ES regexp query)."""
+    return pc.and_(pc.match_substring_regex(terms, f"^(?:{pattern})$"),
+                   _content(terms))
+
+
+def _match_rare(max_df: int, terms, dfs):
+    return pc.and_(pc.less_equal(dfs, max_df), _content(terms))
+
+
+def _match_fuzzy(term: str, max_edits: int, transpositions: bool,
+                 terms, dfs):
+    """Within ``max_edits`` Levenshtein edits (Damerau–Levenshtein with
+    ``transpositions``, the ES ``fuzziness`` default): a vectorized
+    length prefilter (edit distance >= length difference), then the DP
+    on the small survivor set. An automaton intersection would beat
+    the scan at huge vocabularies."""
+    lens = pc.utf8_length(terms)
+    m = pc.and_(pc.and_(pc.greater_equal(lens, len(term) - max_edits),
+                        pc.less_equal(lens, len(term) + max_edits)),
+                _content(terms))
+    keep = np.array(m, dtype=bool)
+    cand = np.flatnonzero(keep)
+    pred = _damerau_leq if transpositions else _levenshtein_leq
+    for i, t in zip(cand, terms.take(cand).to_pylist()):
+        keep[i] = pred(term, t, max_edits)
+    return pa.array(keep)
+
+
+def _gather(refs: dict) -> dict:
+    """Wait for a wave of shard calls: {key: ObjectRef} -> {key:
+    result}, in one ``ray.get``."""
+    return dict(zip(refs, ray.get(list(refs.values()))))
+
+
 # shard pool sizing: an IndexShard process costs ~195 MB of RSS while
 # holding 0.7 MB of segments (4 shards over an 8k-doc index), so a
 # default engine starts one process per SHARD_SEGMENT_BYTES of segments
@@ -229,6 +301,13 @@ class IndexShard:
     # its own group) — which matters most when one shard serves a small
     # index.
     """Owns the segment files of a set of term partitions.
+
+    Reads: posting rows by term (``get_terms``), document frequencies
+    (``term_dfs``), shard-side decodes (``decode_term`` BM25,
+    ``decode_raw`` raw tf + dl), and ONE dictionary scan,
+    ``scan_terms`` (a predicate, a sort order and a limit), behind every
+    expansion and term listing. The driver reaches a shard only through
+    ``SearchEngine``'s round helpers.
 
     ``max_resident_bytes`` — bounded-memory serving mode (the 100-TB
     story: total segment bytes across an index can exceed any one
@@ -452,133 +531,17 @@ class IndexShard:
             return None
         return self.tables[0].slice(0, 1), np.zeros(1)
 
-    def expand_terms(self, prefix: str, limit: int,
-                     include_fields: bool = False) -> pa.Table:
-        """Dictionary scan: this shard's terms starting with ``prefix``,
-        as a (term, df) table capped at the ``limit`` highest-df terms —
-        the ES wildcard/prefix rewrite (top_terms_N) analog. Field terms
-        (``lang:x``) are excluded unless ``include_fields`` (facet
-        enumeration scans them on purpose). The scan runs where the
-        dictionary lives; only <= limit tiny rows ship back."""
-        outs = []
-        for tbl in self.tables:
-            if tbl.num_rows == 0:
-                continue
-            m = pc.starts_with(tbl["term"], prefix)
-            if not include_fields:
-                m = pc.and_(m, pc.invert(pc.match_substring(tbl["term"],
-                                                            ":")))
-            sel = tbl.filter(m).select(["term", "df"])
-            if sel.num_rows:
-                outs.append(sel)
-        if not outs:
-            return pa.table({"term": pa.array([], pa.string()),
-                             "df": pa.array([], pa.int64())})
-        cat = pa.concat_tables(outs)
-        idx = pc.sort_indices(cat, sort_keys=[("df", "descending"),
-                                              ("term", "ascending")])
-        return cat.take(idx.slice(0, limit))
-
-    def rare_terms(self, max_df: int, limit: int) -> pa.Table:
-        """ES rare_terms scan: this shard's content terms with
-        df <= max_df as a (term, df) table, ranked (df asc, term asc),
-        capped at ``limit``. Metadata-only — no posting bytes move."""
-        outs = []
-        for tbl in self.tables:
-            if tbl.num_rows == 0:
-                continue
-            m = pc.and_(pc.less_equal(tbl["df"], max_df),
-                        pc.invert(pc.match_substring(tbl["term"], ":")))
-            sel = tbl.filter(m).select(["term", "df"])
-            if sel.num_rows:
-                outs.append(sel)
-        if not outs:
-            return pa.table({"term": pa.array([], pa.string()),
-                             "df": pa.array([], pa.int64())})
-        cat = pa.concat_tables(outs)
-        idx = pc.sort_indices(cat, sort_keys=[("df", "ascending"),
-                                              ("term", "ascending")])
-        return cat.take(idx.slice(0, limit))
-
-    def expand_regex(self, pattern: str, limit: int) -> pa.Table:
-        """Dictionary scan with an RE2 full-match pattern (ES regexp
-        query): content terms matching ``pattern``, capped at the
-        ``limit`` highest-df terms."""
-        outs = []
-        anchored = f"^(?:{pattern})$"
-        for tbl in self.tables:
-            if tbl.num_rows == 0:
-                continue
-            m = pc.and_(pc.match_substring_regex(tbl["term"], anchored),
-                        pc.invert(pc.match_substring(tbl["term"], ":")))
-            sel = tbl.filter(m).select(["term", "df"])
-            if sel.num_rows:
-                outs.append(sel)
-        if not outs:
-            return pa.table({"term": pa.array([], pa.string()),
-                             "df": pa.array([], pa.int64())})
-        cat = pa.concat_tables(outs)
-        idx = pc.sort_indices(cat, sort_keys=[("df", "descending"),
-                                              ("term", "ascending")])
-        return cat.take(idx.slice(0, limit))
-
-    def expand_fuzzy(self, term: str, max_edits: int,
-                     limit: int, transpositions: bool = False) -> pa.Table:
-        """Dictionary scan for terms within ``max_edits`` Levenshtein
-        edits (ES fuzzy query; ``transpositions=True`` = the ES
-        ``fuzziness`` default semantics, Damerau–Levenshtein).
-        Vectorized length prefilter (edit distance >= length
-        difference), then banded DP on the small survivor set. An
-        automaton intersection would beat the scan at huge
-        vocabularies; the scan is shard-parallel and runs where the
-        dictionary lives."""
-        tlen = len(term)
-        outs = []
-        for tbl in self.tables:
-            if tbl.num_rows == 0:
-                continue
-            lens = pc.utf8_length(tbl["term"])
-            m = pc.and_(
-                pc.and_(pc.greater_equal(lens, tlen - max_edits),
-                        pc.less_equal(lens, tlen + max_edits)),
-                pc.invert(pc.match_substring(tbl["term"], ":")))
-            sel = tbl.filter(m)
-            if sel.num_rows:
-                outs.append(sel)
-        pred = _damerau_leq if transpositions else _levenshtein_leq
-        hits_t, hits_df = [], []
-        for tbl in outs:
-            for t, df in zip(tbl["term"].to_pylist(),
-                             tbl["df"].to_pylist()):
-                if pred(term, t, max_edits):
-                    hits_t.append(t)
-                    hits_df.append(df)
-        cat = pa.table({"term": pa.array(hits_t, pa.string()),
-                        "df": pa.array(hits_df, pa.int64())})
-        idx = pc.sort_indices(cat, sort_keys=[("df", "descending"),
-                                              ("term", "ascending")])
-        return cat.take(idx.slice(0, limit))
-
-    def enum_terms(self, prefix: str, limit: int) -> pa.Table:
-        """Dictionary scan in TERM-ASC order (the ES _terms_enum
-        contract — lexicographic, not df-ranked): the first ``limit``
-        terms starting with ``prefix``, fields included. Each term
-        lives in exactly one partition (term-hash partitioning), so
-        per-shard asc heads merge losslessly on the driver."""
-        outs = []
-        for tbl in self.tables:
-            if tbl.num_rows == 0:
-                continue
-            m = pc.starts_with(tbl["term"], prefix)
-            sel = tbl.filter(m).select(["term", "df"])
-            if sel.num_rows:
-                outs.append(sel)
-        if not outs:
-            return pa.table({"term": pa.array([], pa.string()),
-                             "df": pa.array([], pa.int64())})
-        cat = pa.concat_tables(outs)
-        idx = pc.sort_indices(cat, sort_keys=[("term", "ascending")])
-        return cat.take(idx.slice(0, limit))
+    def scan_terms(self, match, order: str, limit: int) -> pa.Table:
+        """The one dictionary scan, behind prefix / regexp / fuzzy
+        expansion, rare_terms, terms_enum and keyword-value listing:
+        this shard's (term, df) rows that ``match(terms, dfs)`` keeps (a
+        boolean mask; see the ``_match_*`` predicates), the first
+        ``limit`` of them in ``order`` (a ``_SCAN_ORDERS`` key). The
+        predicate runs where the dictionary lives, fuzzy's edit-distance
+        check included, so at most ``limit`` small rows ship back."""
+        return _first_rows(
+            [tbl.select(["term", "df"]).filter(match(tbl["term"], tbl["df"]))
+             for tbl in self.tables if tbl.num_rows], order, limit)
 
     def hot_terms(self, top_n: int) -> list[str]:
         """This shard's highest-df content terms (the Zipf head that
@@ -657,20 +620,6 @@ class IndexShard:
             "total_df": pa.array([counts[f][1] for f, _ in fields],
                                  pa.int64())})
 
-    def decode_dls(self, term: str):
-        """Shard-side (doc_ids, dl) decode for one term, or None. dl is
-        a per-document property (the content token count) that the
-        posting format already carries next to every tf — so a
-        rank_feature boost over dl never touches a doc store: any term
-        covering the doc yields its feature value, decoded where the
-        compressed row lives (ES rank_feature over a doc-values field,
-        posting-style)."""
-        tp = self._postings(term)
-        if tp is None:
-            return None
-        ids, _tfs, dls = tp.decode_all()
-        return ids, dls.astype(np.float64)
-
     def decode_raw(self, term: str):
         """Shard-side (df, doc_ids, tf, dl) decode for one term, or
         None — the formula-agnostic cousin of ``decode_term`` for
@@ -728,6 +677,15 @@ class SearchEngine:
     - **Block-max WAND** (the 10^12-doc scale path): doc-at-a-time with
       skip/block-max pruning; no N-sized state.
 
+    Every remote call to the shards goes through one of three round
+    helpers, each one wave and one ``ray.get``: ``_broadcast`` (one call
+    per shard: warmup, hot_terms, cache_stats, n_terms, dict_caps and
+    the ``_scan`` dictionary scan), ``_grouped`` (one call per shard
+    owning some of the terms: ``get_terms``, ``term_dfs``) and
+    ``_term_refs`` + ``_gather`` (one call per term on its owner:
+    ``decode_term``, ``decode_raw``; ``_ensure_contribs`` takes over a
+    prewarm decode still in flight instead of sending it again).
+
     ``num_shards`` — IndexShard processes to start. Left unset, the pool
     is sized to the index (``shard_count``): one process per
     ``SHARD_SEGMENT_BYTES`` (4 MiB) of on-disk segments, at least one
@@ -775,11 +733,11 @@ class SearchEngine:
         self.shards = [IndexShard.remote(index_dir, parts,
                                          per_shard_cap)
                        for parts in assignment]
-        # overlap segment loads across shards AND warm each worker's Arrow
-        # serialization path before the first query (see IndexShard.warmup)
-        ray.get([s.warmup.remote() for s in self.shards])
         self.part_to_shard = {p: self.shards[p % n_shards]
                               for p in range(self.P)}
+        # overlap segment loads across shards AND warm each worker's Arrow
+        # serialization path before the first query (see IndexShard.warmup)
+        self._broadcast("warmup")
         docmap = os.path.join(index_dir, "docmap")
         if not os.path.isdir(docmap):  # older index layout
             docmap = os.path.join(index_dir, "docs")
@@ -833,23 +791,19 @@ class SearchEngine:
         # their decode already done/overlapped instead of paying it
         self._pending: dict = {}
         if prewarm_hot_terms and int(self.stats["n_docs"]):
-            n = int(self.stats["n_docs"])
-            k1, b, avgdl = (self.stats["k1"], self.stats["b"],
-                            self.stats["avgdl"])
-            hot = ray.get([s.hot_terms.remote(prewarm_hot_terms)
-                           for s in self.shards])
-            for shard, terms in zip(self.shards, hot):
-                # the shard's "prewarm" group: on-demand decodes keep the
-                # default group's threads (see IndexShard)
-                decode = shard.decode_term.options(
-                    concurrency_group="prewarm")
-                for t in terms:
-                    self._pending[t] = decode.remote(t, n, k1, b, avgdl)
+            bm25 = (int(self.stats["n_docs"]), self.stats["k1"],
+                    self.stats["b"], self.stats["avgdl"])
+            hot = self._broadcast("hot_terms", prewarm_hot_terms)
+            # the shards' "prewarm" group: on-demand decodes keep the
+            # default group's threads (see IndexShard)
+            self._pending = self._term_refs(
+                "decode_term", {t: bm25 for ts in hot for t in ts},
+                group="prewarm")
 
     def cache_stats(self) -> dict:
         """Aggregate bounded-memory residency counters across shards
         (all zeros when serving unbounded)."""
-        stats = ray.get([s.cache_stats.remote() for s in self.shards])
+        stats = self._broadcast("cache_stats")
         return {k: sum(s[k] for s in stats) for k in stats[0]} if stats \
             else {}
 
@@ -939,19 +893,55 @@ class SearchEngine:
             return ids
         return ids[~np.isin(ids, t, assume_unique=False)]
 
+    # -- shard rounds: every remote call to the IndexShard pool -----------
+
+    def _broadcast(self, method: str, *args) -> list:
+        """``IndexShard.method(*args)`` on every shard, in one round: the
+        results in shard order."""
+        return ray.get([getattr(s, method).remote(*args)
+                        for s in self.shards])
+
+    def _grouped(self, method: str, terms: list[str]) -> list:
+        """``IndexShard.method(its_terms)`` once per shard owning any of
+        ``terms`` (one RPC per shard, however many terms), in one round:
+        the per-shard results."""
+        by_shard: dict = {}
+        for t in terms:
+            by_shard.setdefault(self._owner(t), []).append(t)
+        return ray.get([getattr(s, method).remote(ts)
+                        for s, ts in by_shard.items()])
+
+    def _term_refs(self, method: str, args: dict[str, tuple],
+                   group: str | None = None) -> dict:
+        """``IndexShard.method(term, *args[term])`` once per term on the
+        shard owning it, sent as one wave and not waited for: {term:
+        ObjectRef}; ``_gather`` waits. ``group`` runs the calls in that
+        shard concurrency group."""
+        refs = {}
+        for t, a in args.items():
+            fn = getattr(self._owner(t), method)
+            if group:
+                fn = fn.options(concurrency_group=group)
+            refs[t] = fn.remote(t, *a)
+        return refs
+
+    def _owner(self, term: str):
+        return self.part_to_shard[term_partition(term, self.P)]
+
+    def _scan(self, match, order: str, limit: int) -> pa.Table:
+        """One ``IndexShard.scan_terms`` round over every shard, merged:
+        the first ``limit`` (term, df) rows ``match`` keeps, in
+        ``order``."""
+        return _first_rows(self._broadcast("scan_terms", match, order,
+                                           limit), order, limit)
+
     # -- internals ---------------------------------------------------------
 
     def _fetch_terms(self, terms: list[str]) -> dict[str, dict]:
         missing = [t for t in terms if t not in self._term_cache]
         if missing:
-            by_shard: dict = {}
-            for t in missing:
-                shard = self.part_to_shard[term_partition(t, self.P)]
-                by_shard.setdefault(shard, []).append(t)
-            futures = [shard.get_terms.remote(ts)
-                       for shard, ts in by_shard.items()]
             fetched: dict[str, dict] = {}
-            for tbl in ray.get(futures):
+            for tbl in self._grouped("get_terms", missing):
                 if tbl is None:
                     continue
                 for i in range(tbl.num_rows):
@@ -1031,7 +1021,8 @@ class SearchEngine:
         across the shards owning the query's terms, and the (ids,
         contrib) arrays return zero-copy through the object store — the
         driver never serially decodes a df~N list."""
-        missing = [t for t in terms if t not in self._contrib_cache
+        missing = [t for t in dict.fromkeys(terms)
+                   if t not in self._contrib_cache
                    and t not in self._absent_terms]
         if not missing:
             return
@@ -1045,25 +1036,24 @@ class SearchEngine:
         def _avgdl(t: str) -> float:
             return path_avgdl if t.startswith("p:") else avgdl
 
-        futures = [
-            (t, self._pending.pop(t, None)
-             or self.part_to_shard[term_partition(t, self.P)]
-             .decode_term.remote(t, n, k1, b, _avgdl(t)))
-            for t in missing]
-        results = list(zip((t for t, _ in futures),
-                           ray.get([f for _, f in futures])))
+        # a prewarm decode in flight is taken over, not sent again
+        sent = self._term_refs("decode_term", {
+            t: (n, k1, b, _avgdl(t)) for t in missing
+            if t not in self._pending})
+        results = _gather({t: sent[t] if t in sent else self._pending.pop(t)
+                          for t in missing})
         # evict BEFORE inserting, never mid-round: one query's terms must
         # all be resident together or TAAT would silently drop a term.
         # A dense row (df >= n/4) costs n slots on top of its postings.
         round_size = sum(
             r[1].size + (n if r[1].size * 4 >= n > 0 else 0)
-            for _, r in results if r is not None)
+            for r in results.values() if r is not None)
         if self._contrib_cached + round_size > self._contrib_budget:
             self._contrib_cache.clear()
             self._absent_terms.clear()
             self._dense_rows.clear()
             self._contrib_cached = 0
-        for t, res in results:
+        for t, res in results.items():
             if res is None:
                 self._absent_terms.add(t)
                 continue
@@ -1132,9 +1122,8 @@ class SearchEngine:
     def _field_terms(self, field: str) -> list[str]:
         """Every ``field:value`` term of a keyword field, sorted — one
         parallel dictionary round across the shards."""
-        tbls = ray.get([s.expand_terms.remote(f"{field}:", 1 << 20, True)
-                        for s in self.shards])
-        return sorted(t for tbl in tbls for t in tbl["term"].to_pylist())
+        return self._scan(partial(_match_prefix, f"{field}:", True),
+                          "term", 1 << 20)["term"].to_pylist()
 
     # -- public API --------------------------------------------------------
 
@@ -1178,15 +1167,16 @@ class SearchEngine:
         on the content field analyzes through here — search / msearch
         / search_after / explain / match_ids / conjunction_ids / the
         bool, boosting (both sides), dis_max and multi_match content
-        clauses / terms_set / the DSL's content match. Surfaces that
-        reason about SURFACE forms (prefix / fuzzy / wildcard
-        expansion, match_bool_prefix, suggesters, synonym,
-        query_string / KQL / simple_query_string parsing,
-        sparse_vector keys) and those pairing each token across
-        unstemmed fields (the path field's own analyzer,
-        combined_fields, cross_fields) keep the base tokenizer — the ES
-        analogy is a multi-field mapping whose ``.stemmed`` subfield
-        serves match while ``keyword``-ish subfields serve the rest."""
+        clauses / terms_set / the DSL's content match / the terms that
+        synonym expansion and query_string, KQL and simple_query_string
+        parsing produce from surface forms. Surfaces that reason about
+        SURFACE forms (prefix / fuzzy / wildcard expansion,
+        match_bool_prefix, suggesters, sparse_vector keys) and those
+        pairing each token across unstemmed fields (the path field's own
+        analyzer, combined_fields, cross_fields) keep the base tokenizer
+        — the ES analogy is a multi-field mapping whose ``.stemmed``
+        subfield serves match while ``keyword``-ish subfields serve the
+        rest."""
         from ..analysis.tokenizer import analyze_py
 
         return analyze_py(text, int(self.stats["max_token_len"]),
@@ -1362,15 +1352,8 @@ class SearchEngine:
             else:
                 missing.append(t)
         if missing:
-            by_shard: dict = {}
-            for t in missing:
-                shard = self.part_to_shard[term_partition(t, self.P)]
-                by_shard.setdefault(shard, []).append(t)
-            futures = [shard.term_dfs.remote(ts)
-                       for shard, ts in by_shard.items()]
-            found: dict[str, int] = {}
-            for d in ray.get(futures):
-                found.update(d)
+            found = {t: df for d in self._grouped("term_dfs", missing)
+                     for t, df in d.items()}
             for t in missing:
                 out[t] = found.get(t, 0)
         return out
@@ -1457,28 +1440,20 @@ class SearchEngine:
         if not prefix:
             raise ValueError("empty prefix would expand the whole "
                              "vocabulary; give at least one character")
-        tbls = ray.get([s.expand_terms.remote(prefix, max_expansions)
-                        for s in self.shards])
-        cat = pa.concat_tables(tbls)
-        idx = pc.sort_indices(cat, sort_keys=[("df", "descending"),
-                                              ("term", "ascending")])
-        cat = cat.take(idx.slice(0, max_expansions))
-        return cat.sort_by("term")
+        return self._scan(partial(_match_prefix, prefix, False), "df",
+                          max_expansions).sort_by("term")
 
     def keyword_values(self, field: str, prefix: str = "",
                        max_expansions: int = 256) -> list[str]:
         """Distinct indexed values of a keyword field (optionally value-
         prefix-filtered) — a dictionary scan over the field's namespaced
-        ``field:value`` terms, values returned sorted. Serves KQL/ES
-        wildcard-on-keyword clauses (``repo:org1*``)."""
-        ns = f"{field}:{prefix}"
-        tbls = ray.get([s.expand_terms.remote(ns, max_expansions, True)
-                        for s in self.shards])
-        cat = pa.concat_tables(tbls)
-        cut = len(field) + 1
-        vals = {t[cut:] for t in cat["term"].to_pylist()
-                if t.startswith(f"{field}:")}
-        return sorted(vals)[:max_expansions]
+        ``field:value`` terms, values returned sorted. Past
+        ``max_expansions`` values the highest-df ones win, like
+        expand_prefix. Serves KQL/ES wildcard-on-keyword clauses
+        (``repo:org1*``)."""
+        exp = self._scan(partial(_match_prefix, f"{field}:{prefix}", True),
+                         "df", max_expansions)
+        return sorted(t[len(field) + 1:] for t in exp["term"].to_pylist())
 
     def simple_query_string(self, q: str, k: int = 10,
                             default_operator: str = "or",
@@ -1504,12 +1479,8 @@ class SearchEngine:
         expand_prefix."""
         if not pattern:
             raise ValueError("empty pattern")
-        tbls = ray.get([s.expand_regex.remote(pattern, max_expansions)
-                        for s in self.shards])
-        cat = pa.concat_tables(tbls)
-        idx = pc.sort_indices(cat, sort_keys=[("df", "descending"),
-                                              ("term", "ascending")])
-        return cat.take(idx.slice(0, max_expansions)).sort_by("term")
+        return self._scan(partial(_match_regex, pattern), "df",
+                          max_expansions).sort_by("term")
 
     def expand_fuzzy(self, term: str, max_edits: int = 1,
                      max_expansions: int = 64,
@@ -1519,14 +1490,21 @@ class SearchEngine:
         the ES default), (term, df) sorted by term asc."""
         if not term:
             raise ValueError("empty term")
-        tbls = ray.get([
-            s.expand_fuzzy.remote(term, max_edits, max_expansions,
-                                  transpositions)
-            for s in self.shards])
-        cat = pa.concat_tables(tbls)
-        idx = pc.sort_indices(cat, sort_keys=[("df", "descending"),
-                                              ("term", "ascending")])
-        return cat.take(idx.slice(0, max_expansions)).sort_by("term")
+        return self._scan(
+            partial(_match_fuzzy, term, max_edits, transpositions), "df",
+            max_expansions).sort_by("term")
+
+    def _terms_search(self, terms: list[str], k: int,
+                      with_meta: bool) -> pa.Table:
+        """TAAT top-k over a disjunction of dictionary terms: the tail
+        of the expansion surfaces (prefix, wildcard, fuzzy) and of the
+        term-set rewrites (match_bool_prefix, synonym)."""
+        terms = sorted(set(terms))
+        if not terms:
+            return self._format_result([], with_meta)
+        self._ensure_contribs(terms)
+        return self._format_result(self._search_taat(terms, k, None),
+                                   with_meta)
 
     def fuzzy_search(self, term: str, max_edits: int = 1, k: int = 10,
                      max_expansions: int = 64,
@@ -1534,12 +1512,7 @@ class SearchEngine:
         """Top-k BM25 over the fuzzy expansion set (exact TAAT on the
         expanded disjunction, like prefix_search)."""
         exp = self.expand_fuzzy(term, max_edits, max_expansions)
-        terms = exp["term"].to_pylist()
-        if not terms:
-            return self._format_result([], with_meta)
-        self._ensure_contribs(terms)
-        topk = self._search_taat(sorted(terms), k, None)
-        return self._format_result(topk, with_meta)
+        return self._terms_search(exp["term"].to_pylist(), k, with_meta)
 
     def wildcard_search(self, pattern: str, k: int = 10,
                         max_expansions: int = 64,
@@ -1558,12 +1531,7 @@ class SearchEngine:
         rx = "".join(".*" if ch == "*" else "." if ch == "?"
                      else _re.escape(ch) for ch in pattern)
         exp = self.expand_regex(rx, max_expansions)
-        terms = exp["term"].to_pylist()
-        if not terms:
-            return self._format_result([], with_meta)
-        self._ensure_contribs(terms)
-        topk = self._search_taat(sorted(terms), k, None)
-        return self._format_result(topk, with_meta)
+        return self._terms_search(exp["term"].to_pylist(), k, with_meta)
 
     def prefix_search(self, prefix: str, k: int = 10,
                       max_expansions: int = 64,
@@ -1574,12 +1542,7 @@ class SearchEngine:
         over the expanded term set — identical scores to an explicit
         multi-term query on those terms."""
         exp = self.expand_prefix(prefix, max_expansions)
-        terms = exp["term"].to_pylist()
-        if not terms:
-            return self._format_result([], with_meta)
-        self._ensure_contribs(terms)
-        topk = self._search_taat(sorted(terms), k, None)
-        return self._format_result(topk, with_meta)
+        return self._terms_search(exp["term"].to_pylist(), k, with_meta)
 
     def search_fields(self, content_query: str = "",
                       path_query: str = "", path_boost: float = 1.0,
@@ -1681,12 +1644,7 @@ class SearchEngine:
         content terms (df <= max_df), ranked (df asc, term asc) —
         parallel metadata-only dictionary scans, <= limit rows per
         shard, tiny driver merge."""
-        tbls = ray.get([s.rare_terms.remote(max_df, limit)
-                        for s in self.shards])
-        cat = pa.concat_tables(tbls)
-        idx = pc.sort_indices(cat, sort_keys=[("df", "ascending"),
-                                              ("term", "ascending")])
-        return cat.take(idx.slice(0, limit))
+        return self._scan(partial(_match_rare, max_df), "rare", limit)
 
     def collapse_search(self, text: str, field: str = "lang",
                         k: int = 10) -> pa.Table:
@@ -1730,7 +1688,10 @@ class SearchEngine:
         accumulator + field-posting exchange as collapse_search; per
         value one vectorized partial sort of depth inner_size. Returns
         (field, hit_rank, doc_id, score) flattened in (group rank,
-        hit_rank) order."""
+        hit_rank) order. ``inner_size=0`` ranks the groups but lists no
+        hits; a negative size raises ``ValueError``, as ES rejects it."""
+        if inner_size < 0:
+            raise ValueError(f"inner_size must be >= 0, got {inner_size}")
         terms = sorted(set(self._toks(text)))
         self._ensure_contribs(terms)
         acc = self._accumulate(terms)
@@ -1748,12 +1709,12 @@ class SearchEngine:
             m = s > 0.0
             if not m.any():
                 continue
-            groups.append((ft[len(prefix):],
-                           top_k(ids[m], s[m], inner_size)))
-        groups.sort(key=lambda g: (-g[1][0][1], g[1][0][0]))
-        groups = groups[:k]
+            # the best hit orders the groups, whatever the inner page
+            hits = top_k(ids[m], s[m], max(inner_size, 1))
+            groups.append((hits[0], ft[len(prefix):], hits[:inner_size]))
+        groups.sort(key=lambda g: (-g[0][1], g[0][0]))
         f_out, r_out, d_out, s_out = [], [], [], []
-        for val, hits in groups:
+        for _best, val, hits in groups[:k]:
             for r, (d, s) in enumerate(hits, start=1):
                 f_out.append(val)
                 r_out.append(r)
@@ -1941,8 +1902,7 @@ class SearchEngine:
         no posting decode, no corpus scan. n_terms/n_postings include
         the keyword field postings (lang:/repo:), like ES counts its
         keyword fields."""
-        n_terms = int(sum(ray.get([s.n_terms.remote()
-                                   for s in self.shards])))
+        n_terms = int(sum(self._broadcast("n_terms")))
         seg_dir = os.path.join(self.index_dir, "segments")
         n_postings = 0
         for name in os.listdir(seg_dir):
@@ -2152,9 +2112,8 @@ class SearchEngine:
         — distinct value count and total postings — aggregated from one
         parallel dictionary-stat round across the shards (terms are
         hash-partitioned, so per-shard counts add without dedup)."""
-        parts = ray.get([s.dict_caps.remote() for s in self.shards])
         acc: dict[str, list[int]] = {}
-        for tbl in parts:
+        for tbl in self._broadcast("dict_caps"):
             for f, n, d in zip(tbl["field"].to_pylist(),
                                tbl["n_values"].to_pylist(),
                                tbl["total_df"].to_pylist()):
@@ -2183,29 +2142,19 @@ class SearchEngine:
         (dl / (dl + pivot)) and ``log`` (ln(1 + dl / pivot)), scaled by
         ``weight``. The feature is decoded SHARD-SIDE next to the
         postings in one extra parallel round over the query's content
-        terms (IndexShard.decode_dls) — any matched term covers its
+        terms (IndexShard.decode_raw) — any matched term covers its
         docs' dl, so candidates (docs with acc > 0) are fully covered
         and no doc store is read."""
         terms = sorted(set(self._toks(text)))
         if not terms:
             return self._format_result([], with_meta)
         self._ensure_contribs(terms)
-        n = int(self.stats["n_docs"])
         acc = self._accumulate(terms)
-        # dl = content-field length
-        present = [t for t in terms if not t.startswith("p:")
-                   and self._contrib_cache.get(t) is not None]
         self._mask_tombstones(acc)
         cand = np.flatnonzero(acc > 0.0)
         if cand.size == 0:
             return self._format_result([], with_meta)
-        futures = [self.part_to_shard[term_partition(t, self.P)]
-                   .decode_dls.remote(t) for t in present]
-        dl = np.zeros(n, dtype=np.float64)
-        for res in ray.get(futures):
-            if res is not None:
-                dl[res[0]] = res[1]
-        f = dl[cand]
+        f = self._doc_lengths(terms)[cand]
         if function == "saturation":
             boost = f / (f + float(pivot))
         elif function == "log":
@@ -2223,7 +2172,7 @@ class SearchEngine:
         and ``dl`` (document token length). Everything reuses machinery
         the query path already has: contributions from the shard-decoded
         cache (term id lists double as match indicators), dl decoded
-        SHARD-SIDE next to the postings (rank_feature's decode_dls
+        SHARD-SIDE next to the postings (rank_feature's decode_raw
         round) — no doc-store read, nothing N-sized beyond TAAT's own
         accumulator. Returns (doc_id, score, matched_terms, dl) in
         (score desc, doc_id asc) order."""
@@ -2237,26 +2186,32 @@ class SearchEngine:
                              "dl": pa.array([], pa.int64())})
         top_ids = np.array([d for d, _ in topk], dtype=np.int64)
         matched = np.zeros(top_ids.size, dtype=np.int64)
-        present = []
         for t in terms:
             hit = self._contrib_cache.get(t)
-            if hit is None:
-                continue
-            matched += np.isin(top_ids, hit[0]).astype(np.int64)
-            if not t.startswith("p:"):
-                present.append(t)
-        futures = [self.part_to_shard[term_partition(t, self.P)]
-                   .decode_dls.remote(t) for t in present]
-        n = int(self.stats["n_docs"])
-        dl = np.zeros(n, dtype=np.int64)
-        for res in ray.get(futures):
-            if res is not None:
-                dl[res[0]] = res[1]
+            if hit is not None:
+                matched += np.isin(top_ids, hit[0]).astype(np.int64)
+        dl = self._doc_lengths(terms)[top_ids].astype(np.int64)
         return pa.table({
             "doc_id": pa.array(top_ids, pa.int64()),
             "score": pa.array([s for _, s in topk], pa.float64()),
             "matched_terms": pa.array(matched, pa.int64()),
-            "dl": pa.array(dl[top_ids], pa.int64())})
+            "dl": pa.array(dl, pa.int64())})
+
+    def _doc_lengths(self, terms: list[str]) -> np.ndarray:
+        """Content length (dl) per doc id, float64, for every doc a
+        cached content term of ``terms`` covers (0 elsewhere): dl rides
+        next to every tf in the posting format, so one shard-side
+        decode_raw round reads it without a doc store (ES rank_feature
+        over a doc-values field, posting-style). Call
+        ``_ensure_contribs(terms)`` first."""
+        present = [t for t in terms if not t.startswith("p:")
+                   and self._contrib_cache.get(t) is not None]
+        dl = np.zeros(int(self.stats["n_docs"]), dtype=np.float64)
+        for res in _gather(self._term_refs(
+                "decode_raw", dict.fromkeys(present, ()))).values():
+            if res is not None:
+                dl[res[1]] = res[3]
+        return dl
 
     def _sparse_vector_dense(self, weights: dict[str, float]) -> np.ndarray:
         """Dense unmasked per-doc scores for the sparse-vector scorer
@@ -2277,10 +2232,9 @@ class SearchEngine:
         acc = np.zeros(n, dtype=np.float64)
         if not terms:
             return acc
-        futures = [(t, self.part_to_shard[term_partition(t, self.P)]
-                    .decode_raw.remote(t)) for t in terms]
-        for t, fut in futures:  # sorted-term order = oracle order
-            res = ray.get(fut)
+        raw = _gather(self._term_refs("decode_raw", dict.fromkeys(terms, ())))
+        for t in terms:  # sorted-term order = oracle order
+            res = raw[t]
             if res is None:
                 continue
             df, ids, tf, _dl = res
@@ -2379,14 +2333,11 @@ class SearchEngine:
             / float(n)
         dl_all, pdl_all = self._norms_arrays()
         dl_comb = dl_all + boost * pdl_all
-        futures = [(t,
-                    self.part_to_shard[term_partition(t, self.P)]
-                    .decode_raw.remote(t),
-                    self.part_to_shard[term_partition("p:" + t, self.P)]
-                    .decode_raw.remote("p:" + t)) for t in terms]
+        raw = _gather(self._term_refs(
+            "decode_raw", {f: () for t in terms for f in (t, "p:" + t)}))
         scratch = np.zeros(n, dtype=np.float64)
-        for t, fc, fp in futures:  # sorted-term order = oracle order
-            rc, rp = ray.get(fc), ray.get(fp)
+        for t in terms:  # sorted-term order = oracle order
+            rc, rp = raw[t], raw["p:" + t]
             if rc is None and rp is None:
                 continue
             parts = []
@@ -2471,21 +2422,13 @@ class SearchEngine:
         avgdl = self.stats["avgdl"]
         path_avgdl = float(self.stats.get("path_avgdl") or 0.0) or 1.0
         # one decode round across both fields' shards, idf deferred
-        futures = []
-        for t in terms:
-            pt = "p:" + t
-            futures.append((t, "c", self.part_to_shard[
-                term_partition(t, self.P)].decode_term.remote(
-                    t, n, k1, b, avgdl, 1.0)))
-            futures.append((t, "p", self.part_to_shard[
-                term_partition(pt, self.P)].decode_term.remote(
-                    pt, n, k1, b, path_avgdl, 1.0)))
-        decoded = dict(zip([(t, f) for t, f, _ in futures],
-                           ray.get([fut for _, _, fut in futures])))
+        decoded = _gather(self._term_refs("decode_term", {
+            f: (n, k1, b, mean_dl, 1.0) for t in terms
+            for f, mean_dl in ((t, avgdl), ("p:" + t, path_avgdl))}))
         acc = np.zeros(n, dtype=np.float64)
         tmp = np.zeros(n, dtype=np.float64)
         for t in terms:
-            rc, rp = decoded.get((t, "c")), decoded.get((t, "p"))
+            rc, rp = decoded[t], decoded["p:" + t]
             if rc is None and rp is None:
                 continue
             df_blend = max(rc[0] if rc else 0, rp[0] if rp else 0)
@@ -2507,19 +2450,16 @@ class SearchEngine:
         original term occupying that position). Expansion is a
         broadcast-side dictionary — at fleet scale the synonym map ships
         once via ray.put inside the actor pool, exactly like the GeoIP
-        DB handle."""
+        DB handle. The map is keyed by surface forms; the expanded
+        terms then run the index's stem filter."""
         mtl = int(self.stats["max_token_len"])
         base = sorted(set(tokenize_py(text, mtl)))
         expanded = set(base)
         for t in base:
             for syn in synonyms.get(t, []):
                 expanded.update(tokenize_py(syn, mtl))
-        terms = sorted(expanded)
-        if not terms:
-            return self._format_result([], with_meta)
-        self._ensure_contribs(terms)
-        return self._format_result(
-            self._search_taat(terms, k, None), with_meta)
+        return self._terms_search(self._toks(" ".join(expanded)), k,
+                                  with_meta)
 
     def dsl_search(self, body: dict,
                    with_meta: bool = False) -> pa.Table:
@@ -2547,7 +2487,9 @@ class SearchEngine:
         Scoring: BM25 summed over must + should + phrase terms in
         sorted-term order (phrase terms score as plain terms once the
         positional constraint holds, as in phrase_topk). Composition is
-        all sorted-id set algebra over cached posting lists."""
+        all sorted-id set algebra over cached posting lists. The parser
+        reads surface forms; must / should / must_not terms then run
+        the index's stem filter."""
         parsed = parse_query_string(qs)
         must, should = parsed["must"], parsed["should"]
         must_not, phrases = parsed["must_not"], parsed["phrases"]
@@ -2556,9 +2498,9 @@ class SearchEngine:
         if parsed["impossible"]:  # conflicting single-valued filters
             return self._format_result([], with_meta)
         mx = int(self.stats["max_token_len"])
-        mt = sorted({t for s in must for t in tokenize_py(s, mx)})
-        st = sorted({t for s in should for t in tokenize_py(s, mx)})
-        nt = sorted({t for s in must_not for t in tokenize_py(s, mx)})
+        mt = sorted(set(self._toks(" ".join(must))))
+        st = sorted(set(self._toks(" ".join(should))))
+        nt = sorted(set(self._toks(" ".join(must_not))))
         pterms = [tokenize_py(p, mx) for p in phrases]
         score_terms = sorted(set(mt) | set(st)
                              | {t for p in pterms for t in p})
@@ -2761,12 +2703,8 @@ class SearchEngine:
         reads; df rides along free (keyword postings are one per doc).
         Parallel per-shard asc heads of ``size`` merge on the driver;
         term-hash partitioning guarantees no cross-shard duplicates."""
-        fp = f"{field}:{prefix}"
-        tbls = ray.get([s.enum_terms.remote(fp, size)
-                        for s in self.shards])
-        cat = pa.concat_tables(tbls)
-        idx = pc.sort_indices(cat, sort_keys=[("term", "ascending")])
-        cat = cat.take(idx.slice(0, size))
+        cat = self._scan(partial(_match_prefix, f"{field}:{prefix}", True),
+                         "term", size)
         vals = pc.utf8_slice_codeunits(cat["term"], len(field) + 1)
         return pa.table({"value": vals, "df": cat["df"]})
 
@@ -2847,12 +2785,7 @@ class SearchEngine:
             return self._format_result([], with_meta)
         expansions = self.expand_prefix(
             toks[-1], max_expansions)["term"].to_pylist()
-        terms = sorted(set(toks[:-1]) | set(expansions))
-        if not terms:
-            return self._format_result([], with_meta)
-        self._ensure_contribs(terms)
-        return self._format_result(
-            self._search_taat(terms, k, None), with_meta)
+        return self._terms_search(toks[:-1] + expansions, k, with_meta)
 
     def terms_set_search(self, terms: list[str], min_match: int,
                          k: int = 10,

@@ -606,6 +606,12 @@ _STEMMED_SURFACES = {
     "terms_set": lambda e, w: e.terms_set_search([w, "failure"], 1),
     "dsl_match": lambda e, w: e.dsl_search(
         {"query": {"match": {"content": w}}}),
+    "kql": lambda e, w: e.kql_search(f"{w} and not window"),
+    "sqs": lambda e, w: e.simple_query_string(f"{w} | failure"),
+    # the synonym map is keyed by the surface form; its expansions stem
+    "synonym": lambda e, w: e.synonym_search(w, {w: ["failures"]}),
+    "query_string": lambda e, w: e.query_string(
+        f"+{w} authentication -windows"),
 }
 
 

@@ -7,7 +7,9 @@ sha256 of each surface's exact output rows — doc ids, ``float.hex`` of
 every score, and any extra columns — on the session fixture, once with
 k=3 (the partition top-k runs whenever a surface has >12 candidates)
 and once with k=10_000 (the full sort), plus a set of calls on a
-tombstoned copy of the index.
+tombstoned copy of the index. A second set pins the dictionary
+scans, the metadata rounds, the prewarm hot-term set and the
+positional verify surfaces (each plan, several verify chunks).
 
 To re-derive the digests for a given checkout, run this file as a
 script: ``python tests/test_query_identity.py out.json``."""
@@ -185,6 +187,53 @@ PINNED = {
     "wildcard@3": "99188af18a85df2b",
 }
 
+# digest per call name of the dictionary scans, metadata rounds, the
+# prewarm set and the positional surfaces, recorded before the shard
+# rounds, the dictionary scans and the verify fan-out were shared
+PINNED_ROUNDS = {
+    "expand_fuzzy": "99a06d9db08bda32",
+    "expand_fuzzy_cap": "2e2b51227edee77e",
+    "expand_fuzzy_one": "529f57ed03ab0f83",
+    "expand_fuzzy_transpositions": "42150fc0801a5d45",
+    "expand_prefix": "11978a7ddd83b86f",
+    "expand_prefix_all": "76156333241eada0",
+    "expand_regex": "6566fe1780dfe41c",
+    "expand_regex_cap": "618b76c4efc76e5e",
+    "field_caps": "96aa51421e408833",
+    "index_stats": "36514e7d2ecd44da",
+    "intervals_match": "242439fa332c13ef",
+    "keyword_values": "d1504d32c6a21c7f",
+    "keyword_values_prefix": "8f87f5cfc3483404",
+    "phrase_match": "2d65a3400890bdea",
+    "phrase_match_chunks": "2d65a3400890bdea",
+    "phrase_match_range": "2d65a3400890bdea",
+    "phrase_prefix_match": "4b195bbc422b6f15",
+    "phrase_prefix_match_range": "4b195bbc422b6f15",
+    "phrase_suggest": "baeb0b5a3f7ee07a",
+    "phrase_suggest_wide": "14a07631038267a1",
+    "prewarm": "751a2fcc68f4129d",
+    "proximity_ordered": "242439fa332c13ef",
+    "proximity_ordered_range": "242439fa332c13ef",
+    "proximity_slop": "2a188ce2b5350040",
+    "proximity_slop_range": "2a188ce2b5350040",
+    "proximity_unordered": "a1d4bfb81e96f96d",
+    "proximity_unordered_range": "a1d4bfb81e96f96d",
+    "rare_terms": "f3ab9dda6360f7c6",
+    "rare_terms_wide": "fb3cb2517c14bc4a",
+    "span_containing": "4aaf2e47f5c4559e",
+    "span_containing_range": "4aaf2e47f5c4559e",
+    "span_first": "d6c8eb36d9377f37",
+    "span_first_range": "d6c8eb36d9377f37",
+    "span_not": "980d187cf3385793",
+    "span_not_range": "980d187cf3385793",
+    "span_or": "135ad3b03e6b6e1c",
+    "span_or_range": "135ad3b03e6b6e1c",
+    "span_within": "462f51c1a0fd8f33",
+    "span_within_range": "462f51c1a0fd8f33",
+    "terms_enum": "0fe964b8a913d5fc",
+    "terms_enum_lang": "1acd7b3c49309a07",
+}
+
 
 def _cell(v):
     return float.hex(v) if isinstance(v, float) else v
@@ -353,6 +402,85 @@ def _unkeyed(eng) -> dict:
     }
 
 
+# every positional surface once through the engine (candidate plan),
+# then through query/phrase.py with candidate_max_df=0 (doc-range plan)
+# and with small chunk_docs (several verify tasks)
+_RANGE = {"chunk_docs": 64, "candidate_max_df": 0}
+
+
+def _rounds(eng) -> dict:
+    """name -> zero-arg call for the dictionary scans, metadata rounds
+    and positional verify surfaces (none of them take a k)."""
+    from logsentinelai_ray.query import phrase as ph
+
+    def values(vals):
+        return [(v,) for v in vals]
+
+    calls = {
+        "expand_prefix": lambda: eng.expand_prefix("s", 8),
+        "expand_prefix_all": lambda: eng.expand_prefix("a", 10 ** 6),
+        "expand_regex": lambda: eng.expand_regex("s[a-z]*a[a-z]*"),
+        "expand_regex_cap": lambda: eng.expand_regex("[a-z]*e[a-z]*", 7),
+        "expand_fuzzy": lambda: eng.expand_fuzzy("sefl", 2, 10),
+        "expand_fuzzy_one": lambda: eng.expand_fuzzy("eror", 1, 10),
+        "expand_fuzzy_transpositions": lambda: eng.expand_fuzzy(
+            "sefl", 1, 10, transpositions=True),
+        "expand_fuzzy_cap": lambda: eng.expand_fuzzy("retrun", 2, 3),
+        "keyword_values": lambda: values(eng.keyword_values("lang")),
+        "keyword_values_prefix": lambda: values(eng.keyword_values(
+            "repo", prefix="org1", max_expansions=5)),
+        "rare_terms": lambda: eng.rare_terms(2, 20),
+        "rare_terms_wide": lambda: eng.rare_terms(5, 60),
+        "terms_enum": lambda: eng.terms_enum("repo", "org1/repo1", 5),
+        "terms_enum_lang": lambda: eng.terms_enum("lang"),
+        "field_caps": lambda: eng.field_caps(),
+        "index_stats": lambda: eng.index_stats(),
+        "phrase_suggest": lambda: eng.phrase_suggest(
+            "authentcation failre", k=5),
+        "phrase_suggest_wide": lambda: eng.phrase_suggest(
+            "retrun eror", max_edits=2, per_slot=4, k=10),
+        "phrase_match": lambda: eng.phrase_match("error self"),
+        "phrase_match_range": lambda: ph.phrase_match(
+            eng, "error self", **_RANGE),
+        "phrase_match_chunks": lambda: ph.phrase_match(
+            eng, "error self", chunk_docs=16),
+        "phrase_prefix_match": lambda: eng.phrase_prefix_match(
+            "import er"),
+        "phrase_prefix_match_range": lambda: ph.phrase_prefix_match(
+            eng, "import er", **_RANGE),
+        "intervals_match": lambda: eng.intervals_match("import", "error",
+                                                       2),
+        "span_first": lambda: eng.span_first_match("error", 3),
+        "span_first_range": lambda: ph.span_first_match(
+            eng, "error", 3, **_RANGE),
+        "span_or": lambda: eng.span_or_match(
+            ["error", "self", "zzzmissing"]),
+        "span_or_range": lambda: ph.span_or_match(
+            eng, ["error", "self", "zzzmissing"], **_RANGE),
+        "span_not": lambda: eng.span_not_match("error", "self", 1, 1),
+        "span_not_range": lambda: ph.span_not_match(
+            eng, "error", "self", 1, 1, **_RANGE),
+        "span_containing": lambda: eng.span_containing_match(
+            "import", "self", "error", 6),
+        "span_within": lambda: eng.span_within_match(
+            "import", "self", "error", 6),
+    }
+    for mode, (a, b) in {"unordered": ("error", "self"),
+                         "ordered": ("import", "error"),
+                         "slop": ("return", "error")}.items():
+        calls[f"proximity_{mode}"] = (
+            lambda a=a, b=b, m=mode: ph.proximity_match(
+                eng, a, b, window=2, mode=m))
+        calls[f"proximity_{mode}_range"] = (
+            lambda a=a, b=b, m=mode: ph.proximity_match(
+                eng, a, b, window=2, mode=m, **_RANGE))
+    for mode in ("containing", "within"):
+        calls[f"span_{mode}_range"] = (
+            lambda m=mode: ph.span_contain_match(
+                eng, "import", "self", "error", 6, mode=m, **_RANGE))
+    return calls
+
+
 TOMB_CALLS = ("search", "msearch", "search_fields", "collapse",
               "collapse_inner", "search_after_p1", "search_after_p2",
               "more_like_this", "boolean", "function_score", "dis_max",
@@ -373,12 +501,14 @@ def surface_digests(idx_dir: str, work_dir: str) -> dict[str, str]:
     out: dict[str, str] = {}
     eng = SearchEngine(idx_dir, num_shards=2)
     try:
+        # the prewarm set, before any query consumes it
+        out["prewarm"] = _digest([(t,) for t in sorted(eng._pending)])
         for k in KS:
             for name, call in _surfaces(eng, k).items():
                 out[f"{name}@{k}"] = _digest(call())
             out[f"alias@{k}"] = _digest(_alias(
                 eng, os.path.join(work_dir, f"aliases{k}.json"), k))
-        for name, call in _unkeyed(eng).items():
+        for name, call in {**_unkeyed(eng), **_rounds(eng)}.items():
             out[name] = _digest(call())
     finally:
         eng.shutdown()
@@ -401,9 +531,10 @@ def surface_digests(idx_dir: str, work_dir: str) -> dict[str, str]:
 def test_query_surfaces_bit_identical(small_index, tmp_path):
     idx_dir, _ = small_index
     got = surface_digests(idx_dir, str(tmp_path))
-    assert sorted(got) == sorted(PINNED)
-    diff = {name: (got[name], PINNED[name]) for name in PINNED
-            if got[name] != PINNED[name]}
+    want = {**PINNED, **PINNED_ROUNDS}
+    assert sorted(got) == sorted(want)
+    diff = {name: (got[name], want[name]) for name in want
+            if got[name] != want[name]}
     assert not diff, diff
 
 

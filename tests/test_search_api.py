@@ -1331,3 +1331,34 @@ def test_expand_fuzzy_transpositions(engine):
     assert "merged" in dl["term"].to_pylist() or dl.num_rows >= lev.num_rows
     # DL is a relaxation: every lev hit is a DL hit
     assert set(lev["term"].to_pylist()) <= set(dl["term"].to_pylist())
+
+
+def test_keyword_values_cap_keeps_highest_df(engine):
+    """Past ``max_expansions`` the highest-df values win (df desc, value
+    asc), like expand_prefix — whatever the shard count: per-shard heads
+    merge into one global head before the values sort."""
+    full = engine.terms_enum("repo", "org1", 1000)
+    pairs = sorted(zip(full["df"].to_pylist(), full["value"].to_pylist()),
+                   key=lambda p: (-p[0], p[1]))
+    assert len(pairs) > 8
+    for cap in (3, 5, 8):
+        want = sorted(v for _, v in pairs[:cap])
+        assert engine.keyword_values("repo", prefix="org1",
+                                     max_expansions=cap) == want, cap
+
+
+def test_collapse_inner_hits_page_sizes(engine):
+    """The groups rank by their best hit whatever the inner page:
+    inner_size=1 equals collapse_search, inner_size=0 lists no hits (in
+    the standard schema), and a negative size is refused, as in ES."""
+    one = engine.collapse_inner_hits("error merge", "lang", k=5,
+                                     inner_size=1)
+    best = engine.collapse_search("error merge", "lang", k=5)
+    assert one.num_rows == 5
+    assert one.select(["doc_id", "lang", "score"]).to_pylist() \
+        == best.select(["doc_id", "lang", "score"]).to_pylist()
+    none = engine.collapse_inner_hits("error merge", "lang", k=5,
+                                      inner_size=0)
+    assert none.num_rows == 0 and none.schema == one.schema
+    with pytest.raises(ValueError, match="inner_size"):
+        engine.collapse_inner_hits("error merge", "lang", inner_size=-1)
