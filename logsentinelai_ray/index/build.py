@@ -32,6 +32,13 @@ Stages (each a checkpoint; a rerun skips completed work via the manifest):
                   (disjoint increasing doc ranges — no re-sort), write
                   ``segments/part-XXXX.parquet`` atomically + manifest
                   entry.
+  5. drop       : once every part's manifest entry (and, with
+                  ``store_positions``, the positions stage) has committed,
+                  ``postings_raw/`` and ``postings_raw_pos/`` are deleted:
+                  a finished index holds only what serving reads. The
+                  exchange is resumable until then; a rerun that finds a
+                  part or positions file missing after the drop runs the
+                  prep+emit pass again to re-emit it.
 
 The same pass yields each doc's content and path token counts. With
 ``index_path_field`` set, the finalize task writes them as the norms
@@ -93,10 +100,11 @@ import pyarrow.parquet as pq
 # bound) exchange and segment sinks at near-snappy CPU cost — measured
 # directly on the emit stage (BASELINE.md round 3)
 _PQ_WRITE_KW = dict(compression="zstd", compression_level=1)
-# the postings exchange is transient (consumed once by the encode stage,
-# then deleted): lz4 + stats only on the filter column cuts write CPU
-# ~15% at equal size vs zstd-1 (measured A/B at 100k docs); persisted
-# artifacts (segments, docs, docmap, sidecars) keep zstd-1
+# the postings exchange is transient (read by the encode and positions
+# stages, deleted once they commit): lz4 + stats only on the filter
+# column cuts write CPU ~15% at equal size vs zstd-1 (measured A/B at
+# 100k docs); persisted artifacts (segments, docs, docmap, sidecars)
+# keep zstd-1
 _EXCHANGE_WRITE_KW = dict(compression="lz4",
                           write_statistics=["salt", "doc_id"])
 
@@ -161,13 +169,14 @@ def _write_atomic(tbl: pa.Table, path: str) -> None:
 
 def _finalize(tbl: pa.Table, ids: np.ndarray, out_path: str,
               cfg: IndexConfig, n_docs: int, exchange_dir: str
-              ) -> tuple[int, tuple[int, int, int]]:
+              ) -> tuple[int, tuple[int, int, int, int]]:
     """Apply the per-origin id mapping (-1 = duplicate, drop), add sha256,
     write one docs/ parquet file, then tokenize the same in-memory table
     into the postings exchange — the unit's one content pass. With
     ``cfg.index_path_field`` the pass's per-doc (dl, path_dl) go to
     ``norms/`` under the docs file's name. Returns (docs written, (exchange
-    rows, content tokens, path tokens) summed over the unit)."""
+    rows, exchange bytes, content tokens, path tokens) summed over the
+    unit)."""
     keep = ids >= 0
     if not keep.all():
         tbl = tbl.filter(pa.array(keep))
@@ -177,14 +186,15 @@ def _finalize(tbl: pa.Table, ids: np.ndarray, out_path: str,
     out = (tbl.add_column(0, "doc_id", pa.array(ids, pa.int64()))
               .append_column("sha256", sha))
     _write_atomic(out, out_path)
-    rows = 0
+    rows = nbytes = 0
     dl = np.zeros(out.num_rows, dtype=np.int64)
     path_dl = np.zeros(out.num_rows, dtype=np.int64)
     step = cfg.tokenize_batch_size
     for s in range(0, out.num_rows, step):
-        n, dl[s:s + step], path_dl[s:s + step] = _emit_and_partition(
+        n, b, dl[s:s + step], path_dl[s:s + step] = _emit_and_partition(
             out.slice(s, step), cfg, n_docs, exchange_dir)
         rows += n
+        nbytes += b
     if cfg.index_path_field:
         norms_dir = os.path.join(os.path.dirname(os.path.dirname(out_path)),
                                  "norms")
@@ -193,7 +203,7 @@ def _finalize(tbl: pa.Table, ids: np.ndarray, out_path: str,
                                 "dl": pa.array(dl),
                                 "path_dl": pa.array(path_dl)}),
                       os.path.join(norms_dir, os.path.basename(out_path)))
-    return out.num_rows, (rows, int(dl.sum()), int(path_dl.sum()))
+    return out.num_rows, (rows, nbytes, int(dl.sum()), int(path_dl.sum()))
 
 
 @ray.remote(num_cpus=1, num_returns=2)
@@ -387,10 +397,13 @@ def prep_docs(corpus, index_dir: str,
     store, and is read once.
 
     Commit order: the postings exchange and ``norms/`` are wiped before
-    any finalize task runs, ``postings_raw/_SUCCESS`` (the summed
-    tokenize payload) is written once they all have, and
-    ``docs/_SUCCESS`` last — the stage's commit; ``build_index`` reruns
-    the stage unless both exist.
+    any finalize task runs, ``postings_raw/_SUCCESS`` (the exchange is
+    whole) is written once they all have, and ``docs/_SUCCESS`` last —
+    the stage's commit, recording n_docs, the token totals and the
+    exchange's rows and bytes. The exchange is dropped once segments and
+    positions commit, so the docs record outlives it; ``build_index``
+    reruns the stage when the record is missing, or when the exchange
+    is and a segment part or positions file still needs it.
     """
     cfg = cfg or IndexConfig()
     docs_dir = os.path.join(index_dir, "docs")
@@ -443,16 +456,18 @@ def prep_docs(corpus, index_dir: str,
                         cfg, n_docs, exchange)
         for i, (src, ids) in enumerate(zip(sources, id_arrays))
     ]
-    sums = np.zeros(3, dtype=np.int64)
+    sums = np.zeros(4, dtype=np.int64)
     for s in ray.get([s for _, s in pairs]):
         sums += s
     # the scale path's id-routing exchange is spent once finalize has run
     shutil.rmtree(os.path.join(index_dir, "_id_mapping"), ignore_errors=True)
     _write_docmap(index_dir, n_docs)
-    mf.mark_stage(index_dir, "postings_raw",
-                  {"rows": int(sums[0]), "total_tokens": int(sums[1]),
-                   "path_tokens": int(sums[2])})
-    mf.mark_stage(index_dir, "docs", {"n_docs": n_docs})
+    mf.mark_stage(index_dir, "postings_raw")
+    mf.mark_stage(index_dir, "docs",
+                  {"n_docs": n_docs, "exchange_rows": int(sums[0]),
+                   "exchange_bytes": int(sums[1]),
+                   "total_tokens": int(sums[2]),
+                   "path_tokens": int(sums[3])})
     return n_docs
 
 
@@ -613,7 +628,6 @@ def tokenize_emit(batch: pa.Table, cfg: IndexConfig, n_docs: int,
         "doc_id": pa.array(doc_ids[u_row], pa.int64()),
         "tf": pa.array(tf.astype(np.int32), pa.int32()),
         "dl": pa.array(dl_np[u_row].astype(np.int32), pa.int32()),
-        "is_field": pa.array(np.zeros(len(tf), dtype=bool)),
     })
 
     # scored path field (ES multi_match): real tf/dl under its own
@@ -636,7 +650,6 @@ def tokenize_emit(batch: pa.Table, cfg: IndexConfig, n_docs: int,
             "doc_id": pa.array(doc_ids[pu_row], pa.int64()),
             "tf": pa.array(p_tf.astype(np.int32), pa.int32()),
             "dl": pa.array(p_dl[pu_row].astype(np.int32), pa.int32()),
-            "is_field": pa.array(np.ones(len(p_tf), dtype=bool)),
         }))
 
     # keyword-field postings for filters (lang / repo): tf=1, dl=1;
@@ -659,7 +672,6 @@ def tokenize_emit(batch: pa.Table, cfg: IndexConfig, n_docs: int,
             "doc_id": pa.array(doc_ids, pa.int64()),
             "tf": pa.array(np.ones(n_f, dtype=np.int32)),
             "dl": pa.array(np.ones(n_f, dtype=np.int32)),
-            "is_field": pa.array(np.ones(n_f, dtype=bool)),
         }))
     # one unified dictionary per batch so the downstream per-part take
     # gathers against a single dictionary (chunk-heterogeneous
@@ -673,16 +685,18 @@ def tokenize_emit(batch: pa.Table, cfg: IndexConfig, n_docs: int,
     return out.add_column(1, "salt", pa.array(salt)), positions, dl_np, p_dl
 
 
-def _write_part_slices(tbl: pa.Table, out_dir: str, uid: str) -> None:
+def _write_part_slices(tbl: pa.Table, out_dir: str, uid: str) -> int:
     """Write ``tbl`` sliced by its (sorted-on-write) ``part`` column into
     ``out_dir/part=P/{uid}-P.parquet`` — atomic, deterministic names, so a
-    retried task overwrites its own files instead of duplicating them."""
+    retried task overwrites its own files instead of duplicating them.
+    Returns the bytes written."""
     order = pc.sort_indices(tbl["part"])
     tbl = tbl.take(order)
     parts = tbl["part"].to_numpy(zero_copy_only=False)
     bounds = np.flatnonzero(np.diff(parts)) + 1
     starts = np.concatenate(([0], bounds))
     ends = np.concatenate((bounds, [len(parts)]))
+    nbytes = 0
     for s, e in zip(starts, ends):
         p = int(parts[s])
         pdir = os.path.join(out_dir, f"part={p}")
@@ -691,15 +705,18 @@ def _write_part_slices(tbl: pa.Table, out_dir: str, uid: str) -> None:
         tmp = path + f".tmp-{os.getpid()}"
         pq.write_table(tbl.slice(s, e - s).drop_columns(["part"]), tmp,
                        **_EXCHANGE_WRITE_KW)
+        nbytes += os.path.getsize(tmp)
         os.replace(tmp, path)
+    return nbytes
 
 
 def _emit_and_partition(batch: pa.Table, cfg: IndexConfig, n_docs: int,
-                        out_dir: str) -> tuple[int, np.ndarray, np.ndarray]:
+                        out_dir: str
+                        ) -> tuple[int, int, np.ndarray, np.ndarray]:
     """Tokenize one non-empty batch and write its triples sliced per
     partition — the map side of the hash exchange. Returns (triples
-    written, per-row content dl, per-row path dl): the dls sum to the
-    BM25 token totals and are the norms rows. When
+    written, their bytes, per-row content dl, per-row path dl): the dls
+    sum to the BM25 token totals and are the norms rows. When
     ``cfg.store_positions``, the same tokenize pass also writes the
     positions sidecar occurrences to ``{out_dir}_pos/part=P/`` (no second
     tokenization)."""
@@ -711,16 +728,16 @@ def _emit_and_partition(batch: pa.Table, cfg: IndexConfig, n_docs: int,
     uid = hashlib.blake2b(
         f"b{batch['doc_id'][0].as_py()}".encode(),
         digest_size=8).hexdigest()
-    _write_part_slices(triples, out_dir, uid)
+    nbytes = _write_part_slices(triples, out_dir, uid)
     if positions is not None:
         _write_part_slices(positions, out_dir + "_pos", uid)
-    return triples.num_rows, dl, path_dl
+    return triples.num_rows, nbytes, dl, path_dl
 
 
 def compute_stats(index_dir: str, cfg: IndexConfig, n_docs: int) -> dict:
     """Stage 2b: global collection stats, from the token totals the
-    stage-1+2 summary recorded."""
-    payload = mf.read_stage(index_dir, "postings_raw")
+    stage-1+2 record (``docs/_SUCCESS``) holds."""
+    payload = mf.read_stage(index_dir, "docs")
     total = int(payload["total_tokens"])
     path_tokens = int(payload["path_tokens"])
     stats = {
@@ -928,32 +945,51 @@ def _consolidate_positions(index_dir: str, raw_pos_dir: str, part: int,
     return tbl.num_rows
 
 
-def build_positions(index_dir: str, cfg: IndexConfig,
-                    raw_dirname: str = "postings_raw_pos",
-                    out_name: str = "base.parquet",
-                    stage_name: str = "positions") -> None:
+def _positions_done(index_dir: str, cfg: IndexConfig) -> bool:
+    """True unless ``cfg.store_positions`` asks for a positions stage that
+    has not committed, or has lost one of its (part, doc-range) files
+    since."""
+    return not cfg.store_positions or (
+        mf.stage_done(index_dir, "positions")
+        and all(os.path.exists(os.path.join(
+                    index_dir, "positions", f"part={p}",
+                    f"base-{s:02d}.parquet"))
+                for p in range(cfg.num_partitions)
+                for s in range(max(1, cfg.salt_buckets))))
+
+
+def _exchange(index_dir: str) -> str:
+    """The postings exchange, refusing one that is not whole: the encode
+    and positions tasks read a missing ``part=P`` directory as a partition
+    with no terms, so a dropped exchange would silently become empty
+    segment parts."""
+    if not mf.stage_done(index_dir, "postings_raw"):
+        raise RuntimeError(
+            f"{index_dir}: the postings exchange is missing or partial; "
+            "rerun build_index to re-emit it")
+    return os.path.join(index_dir, "postings_raw")
+
+
+def build_positions(index_dir: str, cfg: IndexConfig) -> None:
     """Positions consolidation stage (skipped unless cfg.store_positions).
     Fans out per (part, doc-range) — ``salt_buckets`` contiguous ranges
     per part — to bound straggler wall-time and task memory under the
     Zipf-head term skew (see _consolidate_positions). Deterministic file
     names + atomic writes make a rerun idempotent; the stage marker lets
-    a resumed build skip it wholesale."""
-    if not cfg.store_positions or mf.stage_done(index_dir, stage_name):
+    a resumed build skip it wholesale while every file it wrote is
+    there."""
+    if _positions_done(index_dir, cfg):
         return
-    raw = os.path.join(index_dir, raw_dirname)
+    raw = _exchange(index_dir) + "_pos"
     n_docs = int(mf.read_stage(index_dir, "docs")["n_docs"])
     S = max(1, cfg.salt_buckets)
-    stem = out_name[:-len(".parquet")] if out_name.endswith(".parquet") \
-        else out_name
     bounds = [n_docs * s // S for s in range(S)] + [n_docs]
-    tasks = []
-    for p in range(cfg.num_partitions):
-        for s in range(S):
-            tasks.append(_consolidate_positions.remote(
-                index_dir, raw, p, f"{stem}-{s:02d}.parquet",
-                bounds[s], bounds[s + 1]))
-    occ = ray.get(tasks)
-    mf.mark_stage(index_dir, stage_name, {"n_occurrences": int(sum(occ))})
+    occ = ray.get([
+        _consolidate_positions.remote(index_dir, raw, p,
+                                      f"base-{s:02d}.parquet",
+                                      bounds[s], bounds[s + 1])
+        for p in range(cfg.num_partitions) for s in range(S)])
+    mf.mark_stage(index_dir, "positions", {"n_occurrences": int(sum(occ))})
 
 
 def build_segments(index_dir: str, cfg: IndexConfig, avgdl: float,
@@ -963,12 +999,25 @@ def build_segments(index_dir: str, cfg: IndexConfig, avgdl: float,
     remaining = sorted(set(range(cfg.num_partitions)) - done)
     if not remaining:
         return
-    exchange = os.path.join(index_dir, "postings_raw")
+    exchange = _exchange(index_dir)
     ray.get([
         _merge_part.remote(index_dir, p, fingerprint, *[
             _encode_part_salt.remote(exchange, p, s, cfg, avgdl)
             for s in range(cfg.salt_buckets)])
         for p in remaining])
+
+
+def _drop_exchange(index_dir: str) -> None:
+    """Stage 5: delete the postings exchange and its positions twin once
+    segments and positions have committed. The whole-exchange marker goes
+    first, so a drop cut short leaves nothing a stage would read."""
+    exchange = os.path.join(index_dir, "postings_raw")
+    try:
+        os.remove(os.path.join(exchange, "_SUCCESS"))
+    except FileNotFoundError:
+        pass
+    shutil.rmtree(exchange, ignore_errors=True)
+    shutil.rmtree(exchange + "_pos", ignore_errors=True)
 
 
 # --------------------------------------------------------------------------
@@ -1111,13 +1160,24 @@ def build_index(corpus_ds, index_dir: str, cfg: IndexConfig | None = None,
     t0 = time.monotonic()
     timings: dict[str, float] = {}
 
-    if not (mf.stage_done(index_dir, "docs")
-            and mf.stage_done(index_dir, "postings_raw")):
+    # the prep+emit record (docs/_SUCCESS) outlives the exchange, which
+    # the build drops once segments and positions commit: a part or
+    # positions file missing after that (a damaged finished index) needs
+    # the pass again to re-emit it. A record without the exchange figures
+    # is an earlier layout's, which kept the token totals beside the
+    # exchange: the pass runs again to write this one.
+    needs_exchange = (
+        len(mf.completed_parts(index_dir, fingerprint)) < cfg.num_partitions
+        or not _positions_done(index_dir, cfg))
+    prep = (mf.read_stage(index_dir, "docs")
+            if mf.stage_done(index_dir, "docs") else {})
+    if "exchange_bytes" not in prep or (
+            needs_exchange and not mf.stage_done(index_dir, "postings_raw")):
         t = time.monotonic()
-        n_docs = prep_docs(corpus_ds, index_dir, cfg)
+        prep_docs(corpus_ds, index_dir, cfg)
         timings["prep_docs_s"] = round(time.monotonic() - t, 3)
-    else:
-        n_docs = mf.read_stage(index_dir, "docs")["n_docs"]
+        prep = mf.read_stage(index_dir, "docs")
+    n_docs = prep["n_docs"]
 
     if not os.path.exists(os.path.join(index_dir, "stats.json")):
         t = time.monotonic()
@@ -1134,6 +1194,7 @@ def build_index(corpus_ds, index_dir: str, cfg: IndexConfig | None = None,
         t = time.monotonic()
         build_positions(index_dir, cfg)
         timings["positions_s"] = round(time.monotonic() - t, 3)
+    _drop_exchange(index_dir)
 
     meta = {
         "fingerprint": fingerprint,
@@ -1141,6 +1202,9 @@ def build_index(corpus_ds, index_dir: str, cfg: IndexConfig | None = None,
         "n_docs": n_docs,
         "stats": stats,
         "timings": timings,
+        # what the (now dropped) postings exchange held, as written
+        "exchange_rows": prep["exchange_rows"],
+        "exchange_bytes": prep["exchange_bytes"],
         "total_s": round(time.monotonic() - t0, 3),
     }
     mf.write_meta(index_dir, meta)

@@ -10,17 +10,18 @@ restarted build skips stages/partitions whose fingerprint matches.
 
 Layout under ``index_dir``:
   docs/                 stage-1 output (doc ids assigned)   + docs/_SUCCESS
-                        (+ delta-<n_base>-*.parquet per update)
+                        (+ delta-<n_base>-*.parquet per update).
+                        Stages 1 and 2 are one pass (the finalize task
+                        writes docs/ and the postings exchange);
+                        docs/_SUCCESS is its commit, written last, and the
+                        record that outlives the exchange: n_docs, the
+                        token totals stats.json is computed from, and the
+                        exchange's rows and bytes.
   docmap/               stage-1b doc-id-sorted metadata (no content)
                         (+ delta-<n_base>.parquet per update)
   norms/                per-doc (doc_id, dl, path_dl), one file per docs/
                         file under the same name, written by the same
                         finalize task (only with index_path_field)
-  postings_raw/         stage-2 output (raw triples)        + postings_raw/_SUCCESS
-                        Stages 1 and 2 are one pass (the finalize task
-                        writes both); docs/_SUCCESS is written after
-                        postings_raw/_SUCCESS, and a build reruns the
-                        pass unless both exist.
   stats.json            stage-2b global stats (N, avgdl, total_tokens)
   segments/part-XXXX.parquet   stage-3/4 output (atomic tmp+rename)
   manifest/part-XXXX.json      per-partition lineage+metrics (written last)
@@ -30,6 +31,12 @@ Layout under ``index_dir``:
                         (only with store_positions)  + positions/_SUCCESS
 
 Transient exchanges (removed once read, never in a finished index):
+  postings_raw/, postings_raw_pos/   the build's postings exchange (raw
+                        triples, positions occurrences); postings_raw/_SUCCESS
+                        marks it whole. A build deletes both once every
+                        part entry and the positions stage have committed;
+                        a rerun that finds a part or positions file gone
+                        after that re-emits them with the prep+emit pass.
   _id_mapping/, _delta_id_mapping/   scale-path id routing (build, update)
   postings_delta/, postings_delta_pos/   an update's postings exchange
   _update_pending.json                   an update in flight
@@ -71,7 +78,8 @@ def read_stage(index_dir: str, stage: str) -> dict:
 
 
 def completed_parts(index_dir: str, fingerprint: str) -> set[int]:
-    """Partitions whose manifest entry exists and matches the fingerprint."""
+    """Partitions whose manifest entry exists and matches the fingerprint,
+    and whose segment part is on disk."""
     mdir = os.path.join(index_dir, "manifest")
     done: set[int] = set()
     if not os.path.isdir(mdir):
@@ -84,8 +92,11 @@ def completed_parts(index_dir: str, fingerprint: str) -> set[int]:
                 entry = json.load(f)
         except (OSError, json.JSONDecodeError):
             continue
-        if entry.get("fingerprint") == fingerprint:
-            done.add(int(entry["part"]))
+        part = int(entry["part"])
+        if entry.get("fingerprint") == fingerprint and os.path.exists(
+                os.path.join(index_dir, "segments",
+                             f"part-{part:04d}.parquet")):
+            done.add(part)
     return done
 
 

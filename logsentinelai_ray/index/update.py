@@ -427,7 +427,7 @@ def update_index(new_corpus: str | list[str], index_dir: str,
     pairs = [_finalize_file.remote(f, ids, out, cfg, n_total, delta_dir)
              for f, ids, out in zip(files, id_arrays, new_doc_files)]
     delta_tokens = delta_path_tokens = 0
-    for _rows, tokens, path_tokens in ray.get([s for _, s in pairs]):
+    for _rows, _bytes, tokens, path_tokens in ray.get([s for _, s in pairs]):
         delta_tokens += tokens
         delta_path_tokens += path_tokens
     # the scale path's id-routing exchange is spent once finalize has run

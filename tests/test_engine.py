@@ -229,7 +229,23 @@ def test_df_consistency(small_index, oracle):
         assert seg_df.get(term) == len(plist), term
 
 
-def test_resume_skips_completed_partitions(small_corpus, tmp_path):
+def _build_killed_before_drop(monkeypatch, *args, **kwargs) -> dict:
+    """``build_index`` killed once segments and positions commit, before
+    the postings exchange is dropped: the on-disk state a crash leaves
+    between those two steps."""
+    from logsentinelai_ray.index import build
+
+    with monkeypatch.context() as m:
+        m.setattr(build, "_drop_exchange", lambda index_dir: None)
+        return build.build_index(*args, **kwargs)
+
+
+def _exchanges(idx):
+    return sorted(d for d in os.listdir(idx) if d.startswith("postings_"))
+
+
+def test_resume_skips_completed_partitions(small_corpus, tmp_path,
+                                           monkeypatch):
     """Kill-and-resume: only missing partitions rebuild; ranks identical."""
     import ray.data as rd
 
@@ -239,7 +255,8 @@ def test_resume_skips_completed_partitions(small_corpus, tmp_path):
 
     cfg = IndexConfig(num_partitions=4, salt_buckets=2, block_size=16)
     idx = str(tmp_path / "idx")
-    build_index(rd.from_arrow(small_corpus), idx, cfg, corpus_tag="r")
+    _build_killed_before_drop(monkeypatch, rd.from_arrow(small_corpus), idx,
+                              cfg, corpus_tag="r")
     e1 = SearchEngine(idx, num_shards=2)
     before = _pairs(e1.search("select union passwd", k=10, with_meta=False))
     e1.shutdown()
@@ -275,22 +292,25 @@ def test_distributed_dedup_path_matches_driver_path(small_corpus, tmp_path):
     assert outs[0].equals(outs[1])
 
 
-def test_resume_after_partial_emit(small_corpus, tmp_path):
+def test_resume_after_partial_emit(small_corpus, tmp_path, monkeypatch):
     """A crash DURING the prep+emit stage leaves partial exchange files
     without the _SUCCESS markers; the rerun must wipe and re-emit (not
     double-count postings) and converge to the same index."""
-    _resume_after_lost_markers(small_corpus, tmp_path,
+    _resume_after_lost_markers(small_corpus, tmp_path, monkeypatch,
                                ("docs", "postings_raw"))
 
 
-def test_resume_when_only_docs_marker_survives(small_corpus, tmp_path):
+def test_resume_when_only_docs_marker_survives(small_corpus, tmp_path,
+                                               monkeypatch):
     """The prep+emit stage commits docs/_SUCCESS after
     postings_raw/_SUCCESS; with only the docs marker left the stage must
     still rerun."""
-    _resume_after_lost_markers(small_corpus, tmp_path, ("postings_raw",))
+    _resume_after_lost_markers(small_corpus, tmp_path, monkeypatch,
+                               ("postings_raw",))
 
 
-def _resume_after_lost_markers(small_corpus, tmp_path, markers):
+def _resume_after_lost_markers(small_corpus, tmp_path, monkeypatch,
+                               markers):
     import shutil
 
     import ray.data as rd
@@ -310,7 +330,8 @@ def _resume_after_lost_markers(small_corpus, tmp_path, markers):
     # simulate: crash mid-emit — exchange dir half-written, no _SUCCESS,
     # later stages never ran
     idx = str(tmp_path / "crashed")
-    build_index(rd.from_arrow(small_corpus), idx, cfg, corpus_tag="pe")
+    _build_killed_before_drop(monkeypatch, rd.from_arrow(small_corpus), idx,
+                              cfg, corpus_tag="pe")
     for stage in markers:
         os.remove(os.path.join(idx, stage, "_SUCCESS"))
     shutil.rmtree(os.path.join(idx, "segments"))
@@ -328,6 +349,138 @@ def _resume_after_lost_markers(small_corpus, tmp_path, markers):
     got = _pairs(e2.search("select union passwd", k=10, with_meta=False))
     e2.shutdown()
     assert got == expect
+
+
+_DROP_CFG = dict(num_partitions=4, salt_buckets=2, block_size=16,
+                 store_positions=True)
+
+
+def _ranks(idx):
+    """(doc_id, score) top-10 per QUERY_SET query under TAAT and WAND, and
+    one phrase query's top-10; TAAT and WAND must agree."""
+    from logsentinelai_ray.query.shards import SearchEngine
+
+    eng = SearchEngine(idx, num_shards=2)
+    try:
+        out = {}
+        for q in QUERY_SET:
+            taat, wand = (_pairs(eng.search(q, k=10, with_meta=False,
+                                            strategy=st))
+                          for st in ("taat", "wand"))
+            assert taat == wand, q
+            out[q] = taat
+        out["phrase"] = eng.phrase_topk("authentication failure", k=10,
+                                        with_meta=False).to_pydict()
+        return out
+    finally:
+        eng.shutdown()
+
+
+def test_resume_after_crash_before_exchange_drop(small_corpus, tmp_path,
+                                                 monkeypatch):
+    """Killed after segments and positions commit but before the exchange
+    drop: the rerun runs no stage again, drops the exchange, and ranks
+    are those of an unbroken build."""
+    import ray.data as rd
+
+    from logsentinelai_ray.config import IndexConfig
+    from logsentinelai_ray.index import build
+
+    cfg = IndexConfig(**_DROP_CFG)
+    ref = str(tmp_path / "ref")
+    ref_meta = build.build_index(rd.from_arrow(small_corpus), ref, cfg,
+                                 corpus_tag="x")
+    assert _exchanges(ref) == []
+    assert ref_meta["exchange_rows"] > 0 and ref_meta["exchange_bytes"] > 0
+
+    def killed(index_dir):
+        raise RuntimeError("killed before the drop")
+
+    idx = str(tmp_path / "idx")
+    with monkeypatch.context() as m:
+        m.setattr(build, "_drop_exchange", killed)
+        with pytest.raises(RuntimeError, match="killed before the drop"):
+            build.build_index(rd.from_arrow(small_corpus), idx, cfg,
+                              corpus_tag="x")
+    assert _exchanges(idx) == ["postings_raw", "postings_raw_pos"]
+    meta = build.build_index(rd.from_arrow(small_corpus), idx, cfg,
+                             corpus_tag="x")
+    assert set(meta["timings"]) == {"segments_s", "positions_s"}
+    assert _exchanges(idx) == []
+    assert (meta["exchange_rows"], meta["exchange_bytes"]) == \
+        (ref_meta["exchange_rows"], ref_meta["exchange_bytes"])
+    assert _ranks(idx) == _ranks(ref)
+
+
+@pytest.mark.parametrize("lost", ["segment+entry", "segment", "positions"])
+def test_damaged_finished_index_reemits_exchange(small_corpus, tmp_path,
+                                                 lost):
+    """A finished index (its exchange dropped) that loses a segment part,
+    with or without its manifest entry, or a positions file: the rerun
+    runs the prep+emit pass again to re-emit the exchange, rebuilds what
+    was lost from it, drops it again, and ranks are unchanged. Without
+    the exchange the segment stage refuses to run rather than write an
+    empty part."""
+    import ray.data as rd
+
+    from logsentinelai_ray.config import IndexConfig
+    from logsentinelai_ray.index import build
+
+    cfg = IndexConfig(**_DROP_CFG)
+    idx = str(tmp_path / "idx")
+    meta = build.build_index(rd.from_arrow(small_corpus), idx, cfg,
+                             corpus_tag="dmg")
+    assert _exchanges(idx) == []
+    before = _ranks(idx)
+    seg = os.path.join(idx, "segments", "part-0002.parquet")
+    if lost == "positions":
+        os.remove(os.path.join(idx, "positions", "part=1",
+                               "base-00.parquet"))
+    else:
+        os.remove(seg)
+        if lost == "segment+entry":
+            os.remove(os.path.join(idx, "manifest", "part-0002.json"))
+        with pytest.raises(RuntimeError, match="exchange"):
+            build.build_segments(idx, cfg, meta["stats"]["avgdl"],
+                                 meta["fingerprint"])
+        assert not os.path.exists(seg)
+    meta = build.build_index(rd.from_arrow(small_corpus), idx, cfg,
+                             corpus_tag="dmg")
+    assert "prep_docs_s" in meta["timings"]
+    assert _exchanges(idx) == []
+    assert pq.read_metadata(seg).num_rows > 0
+    assert _ranks(idx) == before
+
+
+def test_rerun_rewrites_earlier_layout_record(small_corpus, tmp_path,
+                                              monkeypatch):
+    """An index finished under the earlier layout (its docs/_SUCCESS holds
+    only n_docs, the exchange kept beside it) is not an error: the rerun
+    runs the prep+emit pass again, writes the full record, drops the
+    exchange, and ranks are unchanged."""
+    import json
+
+    import ray.data as rd
+
+    from logsentinelai_ray.config import IndexConfig
+    from logsentinelai_ray.index.build import build_index
+
+    cfg = IndexConfig(**_DROP_CFG)
+    idx = str(tmp_path / "idx")
+    _build_killed_before_drop(monkeypatch, rd.from_arrow(small_corpus), idx,
+                              cfg, corpus_tag="old")
+    before = _ranks(idx)
+    record = os.path.join(idx, "docs", "_SUCCESS")
+    with open(record) as f:
+        n_docs = json.load(f)["n_docs"]
+    with open(record, "w") as f:
+        json.dump({"n_docs": n_docs}, f)
+    meta = build_index(rd.from_arrow(small_corpus), idx, cfg,
+                       corpus_tag="old")
+    assert "prep_docs_s" in meta["timings"]
+    assert meta["exchange_bytes"] > 0
+    assert _exchanges(idx) == []
+    assert _ranks(idx) == before
 
 
 def test_pluggable_scorer_params(small_corpus, tmp_path):
@@ -691,7 +844,8 @@ def test_sort_occurrences_packed_equals_lexsort():
     run()
 
 
-def test_resume_rebuilds_positions_stage(small_corpus, tmp_path):
+def test_resume_rebuilds_positions_stage(small_corpus, tmp_path,
+                                         monkeypatch):
     """Kill-and-resume DURING the positions consolidation: wiping the
     stage marker + one part's consolidated files re-runs the stage
     idempotently (deterministic file names, atomic writes) and phrase
@@ -708,7 +862,8 @@ def test_resume_rebuilds_positions_stage(small_corpus, tmp_path):
     cfg = IndexConfig(num_partitions=4, salt_buckets=2, block_size=16,
                       store_positions=True)
     idx = str(tmp_path / "idx")
-    build_index(rd.from_arrow(small_corpus), idx, cfg, corpus_tag="p")
+    _build_killed_before_drop(monkeypatch, rd.from_arrow(small_corpus), idx,
+                              cfg, corpus_tag="p")
     e1 = SearchEngine(idx, num_shards=2)
     before = e1.phrase_topk("authentication failure", k=10,
                             with_meta=False).to_pydict()

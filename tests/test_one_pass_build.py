@@ -3,8 +3,8 @@ file and tokenizes the same in-memory table into the postings exchange.
 
 - The fused stage writes the same index the two-pass build (a separate
   Ray Data emit plan over docs/) wrote: digests of the segment rows per
-  part, the sorted exchange rows, docs, docmap, positions and stats.json
-  are pinned from the two-pass build, after a build and after 3 updates.
+  part, docs, docmap, positions and stats.json are pinned, after a build
+  and after 3 updates, and no postings exchange survives either.
 - A build and an update from Parquet paths under the driver-dedup
   threshold run no Ray Data plan.
 - A retried finalize unit overwrites its own exchange files."""
@@ -32,17 +32,77 @@ CASES = {
     "rowgroups": ("rowgroups", {}),
 }
 
-# combined digest per (case, after build / after 3 updates), taken from
-# the two-pass build (separate emit plan) over the same inputs
-PINNED = {
-    "arrow-default": ("662486e706c7aed4", "d40acc707dfe9df9"),
-    "arrow-positions": ("c657e9f0606bce53", "4f880157c35e3b16"),
-    "arrow-scale": ("662486e706c7aed4", "d40acc707dfe9df9"),
-    "path-default": ("662486e706c7aed4", "d40acc707dfe9df9"),
-    "path-positions": ("c657e9f0606bce53", "4f880157c35e3b16"),
-    "path-scale": ("662486e706c7aed4", "d40acc707dfe9df9"),
-    "rowgroups": ("662486e706c7aed4", "d40acc707dfe9df9"),
+# component digests (after build, after 3 updates), recorded while the
+# build still kept its exchange; they equal the two-pass build's, which
+# the combined digests of that layout pinned
+_DEFAULT_PINS = ({
+    "docmap": "434f34a3a34a7293",
+    "docs": "a550a8be5e2c5d48",
+    "segments/part-0000.parquet": "d984c42c58d2d0a9",
+    "segments/part-0001.parquet": "532c605a5afa79f7",
+    "segments/part-0002.parquet": "b4907268c0c28ff9",
+    "segments/part-0003.parquet": "d02d417e7785b6e7",
+    "segments/part-0004.parquet": "6c473bc631926f2a",
+    "segments/part-0005.parquet": "a130295fed14617a",
+    "segments/part-0006.parquet": "03985093c592210f",
+    "segments/part-0007.parquet": "e2a700ef19d439be",
+    "stats": "2d1faa193b8f818c",
+}, {
+    "docmap": "59ecd5fad88cdaff",
+    "docs": "1af4c993c3195795",
+    "segments/part-0000.parquet": "abd432956cc720ec",
+    "segments/part-0001.parquet": "ae1bcd9cfc2e9a98",
+    "segments/part-0002.parquet": "715fef2716376b77",
+    "segments/part-0003.parquet": "4f15c610f548a943",
+    "segments/part-0004.parquet": "5f3c5102f5e50ae5",
+    "segments/part-0005.parquet": "745c9d95d0ff0f61",
+    "segments/part-0006.parquet": "6c21f239f8c3f322",
+    "segments/part-0007.parquet": "ea17e44a981b66cf",
+    "stats": "1d2b151124cb258e",
+})
+_POS_BASE = {
+    "positions/part=0/base-00.parquet": "3c8fd446a32540e6",
+    "positions/part=0/base-01.parquet": "924755f53ca46cfe",
+    "positions/part=1/base-00.parquet": "a43ae4531b55db86",
+    "positions/part=1/base-01.parquet": "8a04a633784d15eb",
+    "positions/part=2/base-00.parquet": "c171792712421144",
+    "positions/part=2/base-01.parquet": "8485a5464827009f",
+    "positions/part=3/base-00.parquet": "3fba00dc0cb8ef1c",
+    "positions/part=3/base-01.parquet": "0886073f4cf4b328",
 }
+_POSITIONS_PINS = ({
+    **_POS_BASE,
+    "docmap": "434f34a3a34a7293",
+    "docs": "a550a8be5e2c5d48",
+    "segments/part-0000.parquet": "85ab65c71e90d4d4",
+    "segments/part-0001.parquet": "6ebcb506d2e89a92",
+    "segments/part-0002.parquet": "e92c7063cdbe5cb1",
+    "segments/part-0003.parquet": "5944ce7f1e98f475",
+    "stats": "de592fe14e67d7e9",
+}, {
+    **_POS_BASE,
+    "docmap": "59ecd5fad88cdaff",
+    "docs": "1af4c993c3195795",
+    "positions/part=0/delta-000000000300.parquet": "97c90c3b0fb2174f",
+    "positions/part=0/delta-000000000360.parquet": "cbd2aae48147d2e8",
+    "positions/part=0/delta-000000000420.parquet": "5daa87da7cd235c6",
+    "positions/part=1/delta-000000000300.parquet": "c357169ba98ef39c",
+    "positions/part=1/delta-000000000360.parquet": "3a226cdb74f358e5",
+    "positions/part=1/delta-000000000420.parquet": "10617cd3cbf950f9",
+    "positions/part=2/delta-000000000300.parquet": "3587f7f62ebd44e3",
+    "positions/part=2/delta-000000000360.parquet": "2dbbeb094c0de934",
+    "positions/part=2/delta-000000000420.parquet": "7cd45d332c766df8",
+    "positions/part=3/delta-000000000300.parquet": "28b495d42f30d80b",
+    "positions/part=3/delta-000000000360.parquet": "d0f3ad156ad67af9",
+    "positions/part=3/delta-000000000420.parquet": "6aa3dbe5f7812a4a",
+    "segments/part-0000.parquet": "42b3d7f6d6354ff0",
+    "segments/part-0001.parquet": "3bb435189d39ea11",
+    "segments/part-0002.parquet": "436c899fd3317054",
+    "segments/part-0003.parquet": "3db7d2799169313f",
+    "stats": "4740e8fd81314e22",
+})
+PINNED = {case: _POSITIONS_PINS if cfg is _POS_CFG else _DEFAULT_PINS
+          for case, (_route, cfg) in CASES.items()}
 
 
 def _digest(value) -> str:
@@ -81,14 +141,12 @@ def exchange_rows(exchange_dir: str) -> list[tuple]:
 
 def index_digests(idx: str) -> dict[str, str]:
     """Component digests of an index directory: segment rows per part (in
-    file order), sorted exchange rows, docs and docmap rows sorted by
-    doc_id, positions rows per file, and stats.json."""
+    file order), docs and docmap rows sorted by doc_id, positions rows per
+    file, and stats.json."""
     out = {}
     for f in _parquet_files(os.path.join(idx, "segments")):
         out[f"segments/{os.path.basename(f)}"] = _digest(
             _rows(pq.read_table(f)))
-    out["postings_raw"] = _digest(
-        exchange_rows(os.path.join(idx, "postings_raw")))
     for d in ("docs", "docmap"):
         out[d] = _digest(_sorted_rows(_parquet_files(os.path.join(idx, d))))
     pos = os.path.join(idx, "positions")
@@ -103,8 +161,9 @@ def index_digests(idx: str) -> dict[str, str]:
     return out
 
 
-def _combined(components: dict[str, str]) -> str:
-    return _digest(sorted(components.items()))
+def _exchanges(idx: str) -> list[str]:
+    return sorted(d for d in os.listdir(idx)
+                  if d.startswith(("postings_raw", "postings_delta")))
 
 
 def _base_corpus() -> pa.Table:
@@ -135,7 +194,8 @@ def _write_delta(base: pa.Table, i: int, out_dir: str) -> list[str]:
 
 def run_case(case: str, work: str) -> tuple[dict, dict]:
     """Build the case's index, then apply 3 updates; returns the component
-    digests after the build and after the updates."""
+    digests after the build and after the updates. No postings exchange
+    survives the build or any update."""
     import ray.data as rd
 
     from logsentinelai_ray.config import IndexConfig
@@ -162,18 +222,19 @@ def run_case(case: str, work: str) -> tuple[dict, dict]:
         corpus = rd.from_arrow([base.slice(100 * j, 100) for j in range(3)])
     idx = os.path.join(work, "idx")
     build_index(corpus, idx, cfg, corpus_tag=case)
+    assert _exchanges(idx) == []
     built = index_digests(idx)
     for i in range(3):
         files = _write_delta(base, i, os.path.join(work, f"delta{i}"))
         update_index(files, idx, cfg, delta_tag=f"{case}-d{i}")
+        assert _exchanges(idx) == []
     return built, index_digests(idx)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_index_equals_two_pass_build(case, tmp_path):
     built, updated = run_case(case, str(tmp_path))
-    assert (_combined(built), _combined(updated)) == PINNED[case], \
-        (built, updated)
+    assert (built, updated) == PINNED[case]
 
 
 @pytest.mark.parametrize("path_field", [False, True],
@@ -219,7 +280,8 @@ def test_path_route_runs_no_ray_data_plan(tmp_path, monkeypatch,
 
 def test_retried_finalize_unit_writes_no_duplicate_rows(tmp_path):
     """A finalize unit run twice (a Ray task retry) overwrites its own
-    docs/ file and exchange slices: the exchange holds one copy."""
+    docs/ file and exchange slices: the exchange holds one copy, and the
+    unit reports the rows and bytes it holds."""
     import numpy as np
 
     from logsentinelai_ray.config import IndexConfig
@@ -239,6 +301,9 @@ def test_retried_finalize_unit_writes_no_duplicate_rows(tmp_path):
     second = _finalize(tbl, ids, out, cfg, 2000, exchange)
     assert first == second and first[0] == 119
     assert first[1][0] == len(rows) > 0
+    assert first[1][1] == sum(
+        os.path.getsize(os.path.join(d, f))
+        for d, _, files in os.walk(exchange) for f in files)
     assert exchange_rows(exchange) == rows
     assert exchange_rows(exchange + "_pos") == pos_rows
     assert len(set(rows)) == len(rows)

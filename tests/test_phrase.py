@@ -208,7 +208,8 @@ def test_phrase_requires_positions(ray_session, small_corpus, tmp_path):
     eng.shutdown()
 
 
-def test_positions_stage_resumes(ray_session, small_corpus, tmp_path):
+def test_positions_stage_resumes(ray_session, small_corpus, tmp_path,
+                                monkeypatch):
     """Killing the build after segments but before positions must
     resume with ONLY the positions stage re-running, and phrase results
     must be identical to an unbroken build."""
@@ -217,6 +218,7 @@ def test_positions_stage_resumes(ray_session, small_corpus, tmp_path):
     import ray.data as rd
 
     from logsentinelai_ray.config import IndexConfig
+    from logsentinelai_ray.index import build
     from logsentinelai_ray.index import manifest as mf
     from logsentinelai_ray.index.build import build_index
     from logsentinelai_ray.query.shards import SearchEngine
@@ -224,8 +226,10 @@ def test_positions_stage_resumes(ray_session, small_corpus, tmp_path):
     cfg = IndexConfig(num_partitions=4, salt_buckets=2,
                       store_positions=True)
     idx = str(tmp_path / "resume")
-    build_index(rd.from_arrow(small_corpus.slice(0, 60)), idx, cfg,
-                corpus_tag="res60")
+    with monkeypatch.context() as m:  # killed before the exchange drop
+        m.setattr(build, "_drop_exchange", lambda index_dir: None)
+        build_index(rd.from_arrow(small_corpus.slice(0, 60)), idx, cfg,
+                    corpus_tag="res60")
     eng = SearchEngine(idx, num_shards=1)
     toks = tokenize_py(small_corpus["content"][0].as_py())
     phrase = " ".join(toks[1:3])

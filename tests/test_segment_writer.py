@@ -1,7 +1,7 @@
 """One segment writer and one update dataflow: every segment part the
 build, an update, shrink and split write is zstd with row groups of at
 most 512 dictionary rows, every manifest part entry has one shape, and
-an update leaves no transient exchange behind."""
+a build and an update leave no transient exchange behind."""
 
 import glob
 import hashlib
@@ -20,8 +20,9 @@ import pytest
 SEGMENT_ROWS_SHA256 = (
     "008f1c1bd592acf0bc5625658983c0470eabfa354806319c4b23b994b16f024e")
 
-_TRANSIENT = ("postings_delta", "postings_delta_pos", "_id_mapping",
-              "_delta_id_mapping", "_update_pending.json")
+_TRANSIENT = ("postings_raw", "postings_raw_pos", "postings_delta",
+              "postings_delta_pos", "_id_mapping", "_delta_id_mapping",
+              "_update_pending.json")
 
 
 def _segment_rows_digest(idx: str) -> str:

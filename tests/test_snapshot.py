@@ -15,6 +15,8 @@ def test_snapshot_restore_rank_identical(engine, small_index, tmp_path):
     dst = str(tmp_path / "snap")
     report = snapshot_index(idx_dir, dst)
     assert report["parts"] > 0 and report["n_docs"] > 0
+    # a finished index holds no postings exchange, so neither does its copy
+    assert not [d for d in os.listdir(dst) if d.startswith("postings_")]
 
     from logsentinelai_ray.query.shards import SearchEngine
 
