@@ -29,8 +29,9 @@ class IndexConfig:
     # Term-hash partitioning: parts = hash64(term) % num_partitions.
     num_partitions: int = 8
     # Doc-range salting for the posting shuffle: each term's postings are
-    # built as `salt_buckets` doc-contiguous runs so a Zipf-head term
-    # ("error", "import") never lands on a single map_groups task.
+    # built as `salt_buckets` doc-contiguous runs, each encoded by its own
+    # (part, salt) task, so a Zipf-head term ("error", "import") is never
+    # encoded by a single task.
     salt_buckets: int = 4
     # Posting block size for skip/block-max metadata (docids per block).
     block_size: int = 128
@@ -41,18 +42,8 @@ class IndexConfig:
     # (slices * num_partitions files).
     tokenize_batch_size: int = 2048
 
-    # Number of IndexShard query actors (each owns >=1 term partition).
-    num_shards: int = 4
-
     # Tokens are truncated to this length (guards degenerate minified blobs).
     max_token_len: int = 64
-
-    # Below this many corpus rows the doc-id/dedup key scan is collected to
-    # the driver (a few MB) instead of paying distributed-sort startup;
-    # above it, the keys-only distributed sort + mapping exchange runs
-    # (measured FASTER already at 100k rows, and the only option at scale).
-    # Both paths are exact and tested identical.
-    driver_dedup_max_rows: int = 50_000
 
     # Build the positional sidecar (positions/part=P/, one row per token
     # occurrence) alongside the postings — enables phrase queries (the ES

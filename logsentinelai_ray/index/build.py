@@ -48,9 +48,8 @@ docs they write.
 
 Ray Data runs only where a plan pays for itself: a Dataset input (its
 blocks are materialized once), the scale path's keys-only sort
-(``_assign_ids_distributed``) and distributed docmap sort. A build from
-Parquet paths under ``driver_dedup_max_rows`` runs no Ray Data plan at
-all.
+(``assign_ids``) and distributed docmap sort. A build from Parquet paths
+under ``_DRIVER_IDS_MAX_ROWS`` keys runs no Ray Data plan at all.
 
 Why raw tasks for stages 3/4 instead of ``groupby(part).map_groups``: the
 exchange already happened at stage-1+2 write time (partition pruning replaces
@@ -60,11 +59,16 @@ that is already partitioned on disk and pay an all-to-all it doesn't need;
 on a 100 TB corpus the partitioned layout additionally means any dead
 reduce task replays exactly one partition's files.
 
-Doc-id assignment (stage 1) drops to raw Ray tasks over the materialized
-input's block refs — distributed zipWithIndex with keep-first dedup is the
-one semantic the Dataset API can't express: per-block counts → driver
-prefix sum (num_blocks ints) → per-block id assignment, with the rare
-duplicate keys resolved by a tiny keys-only aggregation.
+Doc-id assignment (stage 1) is ``assign_ids``, shared with
+``update_index``: a doc id is the rank of its (repo, path, commit) key
+among the keys the index does not hold yet, in sorted-key order, and the
+row lowest in (origin, pos) order keeps it — distributed zipWithIndex
+with keep-first dedup, the one semantic the Dataset API can't express. A
+build is an update with no existing keys. Under ``_DRIVER_IDS_MAX_ROWS``
+keys the driver sorts the (key, origin, pos) projection; above it a
+keys-only Ray Data sort on the same columns, one bounds task, one emit
+task per sorted block (block-local ranks) and one load task per unit
+(adding each block's prefix offset) route the ids back to their units.
 
 Worker release: once no build or update has run for ``_RELEASE_AFTER_S``
 (10 s), the pooled Ray task workers are retired (``release_workers``):
@@ -148,17 +152,22 @@ def _block_keys(tbl: pa.Table, origin: int) -> pa.Table:
     return _keys_of(tbl, origin)
 
 
+def _read_unit(src, columns: list[str] | None = None) -> pa.Table:
+    """One stage-1 unit of a parquet input: a path, or a (path, row_group)
+    pair for a file with several row groups (a single huge file must not
+    serialize behind one task)."""
+    if isinstance(src, tuple):
+        return pq.ParquetFile(src[0]).read_row_group(src[1],
+                                                     columns=columns)
+    return pq.read_table(src, columns=columns)
+
+
 @ray.remote(num_cpus=1)
-def _file_keys(path: str, origin: int, row_group: int | None = None
-               ) -> pa.Table:
-    """Same, straight from a parquet file (or ONE of its row groups) via
-    column pruning — the content column is never read."""
-    if row_group is not None:
-        tbl = pq.ParquetFile(path).read_row_group(
-            row_group, columns=["repo", "path", "commit"])
-    else:
-        tbl = pq.read_table(path, columns=["repo", "path", "commit"])
-    return _keys_of(tbl, origin)
+def _file_keys(src, origin: int) -> pa.Table:
+    """Same, straight from a parquet unit via column pruning — the content
+    column is never read. Origin -1 marks an index's committed docmap
+    file: its rows are existing docs."""
+    return _keys_of(_read_unit(src, ["repo", "path", "commit"]), origin)
 
 
 def _write_atomic(tbl: pa.Table, path: str) -> None:
@@ -215,162 +224,144 @@ def _finalize_block(tbl: pa.Table, ids: np.ndarray, out_path: str,
 @ray.remote(num_cpus=1, num_returns=2)
 def _finalize_file(src, ids: np.ndarray, out_path: str, cfg: IndexConfig,
                    n_docs: int, exchange_dir: str):
-    """``src`` is a path, or a (path, row_group) pair for the row-group-
-    split stage-1 units (a single huge file must not serialize behind one
-    task)."""
-    path, rg = src if isinstance(src, tuple) else (src, None)
-    tbl = (pq.ParquetFile(path).read_row_group(rg) if rg is not None
-           else pq.read_table(path))
-    return _finalize(tbl, ids, out_path, cfg, n_docs, exchange_dir)
+    return _finalize(_read_unit(src), ids, out_path, cfg, n_docs,
+                     exchange_dir)
 
 
-def _assign_ids_driver(key_refs: list, counts: list[int]
-                       ) -> tuple[list, int]:
-    """Small-corpus path: collect the (key, origin, pos) projection (a few
-    MB) and compute sorted-key-rank doc ids on the driver. Returns one
-    int64 id array per origin (-1 marks duplicate rows to drop) and the
-    doc count (max id + 1)."""
-    tbl = pa.concat_tables(ray.get(list(key_refs)))
-    # Arrow C++ sort — Python-object string sorting is ~100x slower
-    s = tbl.sort_by([("key", "ascending"), ("origin", "ascending"),
-                     ("pos", "ascending")])
-    keys = s["key"].combine_chunks()
-    n = s.num_rows
-    new = np.ones(n, dtype=bool)
+# above this many keys (existing + new) the id assignment leaves the
+# driver: the driver path collects the (key, origin, pos) projection (a
+# few MB here) and pays no distributed-sort startup; past it the keys-only
+# Ray Data sort runs (already faster at 100k rows, and the only option at
+# scale). Both paths assign the same ids and keep the same rows (tested).
+_DRIVER_IDS_MAX_ROWS = 50_000
+
+_KEY_ORDER = ["key", "origin", "pos"]
+
+
+def _new_keys(tbl: pa.Table, prev_last_key=None) -> np.ndarray:
+    """The keep-first kernel over rows sorted on (key, origin, pos): the
+    mask of rows that are the first occurrence of their key (given the
+    previous sorted block's last key) and not an existing doc (origin -1
+    sorts first within a key) — exactly the rows that receive a new id."""
+    keys = tbl["key"].combine_chunks()
+    n = tbl.num_rows
+    first = np.ones(n, dtype=bool)
     if n > 1:
         eq = pc.equal(keys.slice(1), keys.slice(0, n - 1))
-        new[1:] = np.logical_not(eq.to_numpy(zero_copy_only=False))
-    ids_sorted = np.where(new, np.cumsum(new) - 1, -1).astype(np.int64)
-    origin = s["origin"].to_numpy(zero_copy_only=False)
-    pos = s["pos"].to_numpy(zero_copy_only=False)
-    per_origin = []
-    for i, c in enumerate(counts):
-        arr = np.full(c, -1, dtype=np.int64)
-        m = origin == i
-        arr[pos[m]] = ids_sorted[m]
-        per_origin.append(arr)
-    return per_origin, (int(ids_sorted.max()) + 1 if n else 0)
+        first[1:] = np.logical_not(eq.to_numpy(zero_copy_only=False))
+    if n and prev_last_key is not None and keys[0].as_py() == prev_last_key:
+        first[0] = False
+    return first & (tbl["origin"].to_numpy(zero_copy_only=False) >= 0)
 
 
 @ray.remote(num_cpus=1)
-def _key_block_info(refs: list) -> list:
+def _block_bounds(blocks: list) -> list:
+    """(first row's (key, origin, pos), last row's key) of each sorted
+    block; None for an empty block."""
     out = []
-    for tbl in ray.get(refs):
-        if tbl.num_rows == 0:
-            out.append((None, None, 0))
-        else:
-            out.append((tbl["key"][0].as_py(),
-                        tbl["key"][tbl.num_rows - 1].as_py(),
-                        tbl.num_rows))
+    for tbl in ray.get(blocks):
+        out.append(None if tbl.num_rows == 0 else (
+            tuple(tbl[c][0].as_py() for c in _KEY_ORDER),
+            tbl["key"][tbl.num_rows - 1].as_py()))
     return out
 
 
-@ray.remote(num_cpus=1, num_returns=2)
-def _distinct_count(tbl: pa.Table, prev_last_key):
-    """Count keys whose FIRST occurrence (in sorted order) is in this
-    block."""
-    if tbl.num_rows == 0:
-        return 0, None
-    keys = tbl["key"].combine_chunks()
-    n = tbl.num_rows
-    new = np.ones(n, dtype=bool)
-    eq = pc.equal(keys.slice(1), keys.slice(0, n - 1))
-    new[1:] = np.logical_not(eq.to_numpy(zero_copy_only=False))
-    if prev_last_key is not None and keys[0].as_py() == prev_last_key:
-        new[0] = False
-    return int(new.sum()), None
-
-
 @ray.remote(num_cpus=1)
-def _emit_mapping(tbl: pa.Table, prev_last_key, rank_offset: int,
-                  mapping_dir: str, uid: str) -> int:
-    """Assign sorted-rank ids within one sorted-keys block and write the
-    (pos, doc_id) mapping partitioned by origin — the id routing exchange."""
-    if tbl.num_rows == 0:
-        return 0
-    keys = tbl["key"].combine_chunks()
-    n = tbl.num_rows
-    new = np.ones(n, dtype=bool)
-    eq = pc.equal(keys.slice(1), keys.slice(0, n - 1))
-    new[1:] = np.logical_not(eq.to_numpy(zero_copy_only=False))
-    if prev_last_key is not None and keys[0].as_py() == prev_last_key:
-        new[0] = False
-    ids = np.where(new, rank_offset + np.cumsum(new) - 1, -1).astype(np.int64)
+def _emit_ids(tbl: pa.Table, prev_last_key, block: int,
+              mapping_dir: str) -> int:
+    """Write the block-local ranks of one sorted block's new rows, with
+    the block's index, as (pos, rank, block) rows under
+    ``mapping_dir/origin=o/`` — the id routing exchange. Returns the
+    block's count of new rows."""
+    new = _new_keys(tbl, prev_last_key)
     out = pa.table({
         "origin": tbl["origin"],
         "pos": tbl["pos"],
-        "doc_id": pa.array(ids),
-    }).sort_by("origin")
+        "rank": pa.array(np.cumsum(new) - 1, pa.int64()),
+        "block": pa.array(np.full(tbl.num_rows, block, dtype=np.int32)),
+    }).filter(pa.array(new)).sort_by("origin")
     origins = out["origin"].to_numpy(zero_copy_only=False)
     bounds = np.flatnonzero(np.diff(origins)) + 1
-    starts = np.concatenate(([0], bounds))
-    ends = np.concatenate((bounds, [len(origins)]))
-    for s, e in zip(starts, ends):
-        o = int(origins[s])
-        odir = os.path.join(mapping_dir, f"origin={o}")
-        os.makedirs(odir, exist_ok=True)
-        path = os.path.join(odir, f"{uid}.parquet")
-        pq.write_table(out.slice(s, e - s).drop_columns(["origin"]), path,
-                       **_PQ_WRITE_KW)
+    for s, e in zip(np.concatenate(([0], bounds)),
+                    np.concatenate((bounds, [len(origins)]))):
+        if e > s:
+            odir = os.path.join(mapping_dir, f"origin={int(origins[s])}")
+            os.makedirs(odir, exist_ok=True)
+            _write_atomic(out.slice(s, e - s).drop_columns(["origin"]),
+                          os.path.join(odir, f"b{block:05d}.parquet"))
     return int(new.sum())
 
 
 @ray.remote(num_cpus=1)
-def _load_mapping(mapping_dir: str, origin: int, count: int) -> np.ndarray:
+def _load_ids(mapping_dir: str, origin: int, count: int,
+              offsets: np.ndarray) -> np.ndarray:
+    """One unit's id array: each mapped row's block offset plus its
+    block-local rank; -1 (drop) for every row the mapping leaves out."""
     arr = np.full(count, -1, dtype=np.int64)
     odir = os.path.join(mapping_dir, f"origin={origin}")
     if os.path.isdir(odir):
         tbl = pa_ds.dataset(odir, format="parquet").to_table()
-        arr[tbl["pos"].to_numpy(zero_copy_only=False)] = \
-            tbl["doc_id"].to_numpy(zero_copy_only=False)
+        arr[tbl["pos"].to_numpy(zero_copy_only=False)] = (
+            offsets[tbl["block"].to_numpy(zero_copy_only=False)]
+            + tbl["rank"].to_numpy(zero_copy_only=False))
     return arr
 
 
-def _assign_ids_distributed(key_refs: list, counts: list[int],
-                            index_dir: str) -> tuple[list, int]:
-    """Scale path: keys-only Dataset sort → per-block rank assignment with
-    boundary handling → id routing back to origins through a partitioned
-    mapping exchange. Content never takes part; block completion order is
-    irrelevant because blocks are re-ordered by their first key (the sort's
-    range partitioning makes key ranges disjoint up to boundary ties).
+def assign_ids(key_refs: list, counts: list[int], index_dir: str,
+               existing_refs=(), n_base: int = 0) -> tuple[list, int]:
+    """Doc ids for the rows of ``len(counts)`` input units, whose
+    (key, origin, pos) projections ``key_refs`` holds (origin = the unit's
+    index). A row whose (repo, path, commit) key is new — no existing doc
+    has it (``existing_refs``: the keys of the index's committed docmap
+    files, origin -1) and no row before it in (origin, pos) order — gets
+    ``n_base`` plus the rank of its key among the new keys in sorted-key
+    order; every other row gets -1 (dropped). A build is the case
+    ``n_base = 0`` with no existing keys. Returns one id array per unit
+    (an ObjectRef on the scale path) and the number of new keys.
 
-    Keep-first nuance: for a duplicate key whose run straddles two sorted
-    blocks the survivor is the earliest block's first row, which may not be
-    the minimal (origin, pos) — indistinguishable, because duplicates are
-    exact full-row duplicates by definition of the key.
-    Returns one ObjectRef per origin resolving to its id array, and the
-    doc count (the sum of the per-block distinct counts)."""
+    Driver path, at most ``_DRIVER_IDS_MAX_ROWS`` keys: one Arrow sort on
+    (key, origin, pos), the keep-first mask, one scatter per unit. Scale
+    path: a keys-only Ray Data sort on the same columns, one task reading
+    the sorted blocks' bounds, one ``_emit_ids`` task per block (block-
+    local ranks to ``_id_mapping/``) and one ``_load_ids`` task per unit,
+    which adds each block's offset (``n_base`` + the counts of the blocks
+    before it). Content never takes part. The caller removes
+    ``_id_mapping/`` once its finalize tasks have read the ids."""
+    refs = list(existing_refs) + list(key_refs)
+    if n_base + sum(counts) <= _DRIVER_IDS_MAX_ROWS:
+        # Arrow C++ sort — Python-object string sorting is ~100x slower
+        s = pa.concat_tables(ray.get(refs)).sort_by(
+            [(c, "ascending") for c in _KEY_ORDER])
+        new = _new_keys(s)
+        ids = n_base + np.cumsum(new) - 1
+        origin = s["origin"].to_numpy(zero_copy_only=False)
+        pos = s["pos"].to_numpy(zero_copy_only=False)
+        per_unit = []
+        for o, c in enumerate(counts):
+            arr = np.full(c, -1, dtype=np.int64)
+            m = new & (origin == o)
+            arr[pos[m]] = ids[m]
+            per_unit.append(arr)
+        return per_unit, int(new.sum())
+
     import ray.data as rd
 
-    sorted_mat = rd.from_arrow_refs(list(key_refs)).sort("key").materialize()
-    refs2 = list(sorted_mat.to_arrow_refs())
-    info = ray.get(_key_block_info.remote(list(refs2)))
-    nonempty = [(first, last, cnt, r) for (first, last, cnt), r
-                in zip(info, refs2) if cnt > 0]
-    # order blocks by (first, last): ranges are disjoint up to a single
-    # boundary-tied key, and the tie-break by last key restores true range
-    # order (the completion order of to_arrow_refs is meaningless)
-    nonempty.sort(key=lambda x: (x[0], x[1]))
-    prev_lasts = []
-    prev = None
-    for first, last, cnt, r in nonempty:
-        prev_lasts.append(prev)
-        prev = last
-    dpairs = [_distinct_count.remote(r, pl)
-              for (_, _, _, r), pl in zip(nonempty, prev_lasts)]
-    dcounts = ray.get([c for c, _ in dpairs])
-    rank_offsets = np.zeros(len(dcounts), dtype=np.int64)
-    np.cumsum(dcounts[:-1], out=rank_offsets[1:])
+    blocks = list(rd.from_arrow_refs(refs).sort(_KEY_ORDER).materialize()
+                  .to_arrow_refs())
+    # the sort leaves disjoint (key, origin, pos) ranges, one per block:
+    # ordering the blocks by their first row restores range order (the
+    # order of to_arrow_refs is not promised)
+    spans = sorted(((b, r) for b, r in
+                    zip(ray.get(_block_bounds.remote(blocks)), blocks)
+                    if b is not None), key=lambda x: x[0][0])
+    prev_last = [None] + [last for (_, last), _ in spans[:-1]]
     mapping_dir = os.path.join(index_dir, "_id_mapping")
     shutil.rmtree(mapping_dir, ignore_errors=True)
-    os.makedirs(mapping_dir, exist_ok=True)
-    ray.get([
-        _emit_mapping.remote(r, pl, int(off), mapping_dir, f"m{j:05d}")
-        for j, ((_, _, _, r), pl, off)
-        in enumerate(zip(nonempty, prev_lasts, rank_offsets))
-    ])
-    return ([_load_mapping.remote(mapping_dir, i, c)
-             for i, c in enumerate(counts)], int(sum(dcounts)))
+    n_new = ray.get([_emit_ids.remote(r, p, j, mapping_dir)
+                     for j, ((_, r), p) in enumerate(zip(spans, prev_last))])
+    offsets = np.cumsum([n_base] + n_new[:-1]).astype(np.int64)
+    return ([_load_ids.remote(mapping_dir, o, c, offsets)
+             for o, c in enumerate(counts)], int(sum(n_new)))
 
 
 def _corpus_files(path) -> list[str]:
@@ -385,16 +376,35 @@ def _corpus_files(path) -> list[str]:
                   if f.endswith(".parquet"))
 
 
+def _units(files: list[str]) -> tuple[list, list[int]]:
+    """Stage-1 units of parquet files and their row counts, from the
+    footers: one unit per row group when a file has several (a single
+    huge file must not bound parallelism to the file count), else the
+    file. Ids are sorted-key ranks, so the unit split cannot change
+    them."""
+    sources, counts = [], []
+    for f in files:
+        meta = pq.ParquetFile(f).metadata
+        if meta.num_row_groups > 1:
+            for rg in range(meta.num_row_groups):
+                sources.append((f, rg))
+                counts.append(meta.row_group(rg).num_rows)
+        else:
+            sources.append(f)
+            counts.append(meta.num_rows)
+    return sources, counts
+
+
 def prep_docs(corpus, index_dir: str,
               cfg: IndexConfig | None = None) -> int:
     """Stages 1+2 (doc prep + postings emit, one pass). ``corpus`` is a Ray
     Dataset OR a parquet file/dir path.
 
-    The path form is the scale path: per-file row counts come from parquet
-    footers, the dedup exchange reads only the key columns (column
-    pruning), and the id-assign/sha/write/tokenize wave streams each file
-    through a worker — the content column never transits the object
-    store, and is read once.
+    The path form is the one for large corpora: per-unit row counts come
+    from parquet footers, the dedup exchange reads only the key columns
+    (column pruning), and the id-assign/sha/write/tokenize wave streams
+    each unit through a worker — the content column never transits the
+    object store, and is read once.
 
     Commit order: the postings exchange and ``norms/`` are wiped before
     any finalize task runs, ``postings_raw/_SUCCESS`` (the exchange is
@@ -410,24 +420,8 @@ def prep_docs(corpus, index_dir: str,
     os.makedirs(docs_dir, exist_ok=True)
 
     if isinstance(corpus, (str, list, tuple)):
-        # stage-1 unit = one row group when a file has several (a single
-        # huge file must not bound parallelism to the file count); ids are
-        # sorted-key ranks, so the unit split cannot change them
-        sources = []
-        counts = []
-        for f in _corpus_files(corpus):
-            meta = pq.ParquetFile(f).metadata
-            if meta.num_row_groups > 1:
-                for rg in range(meta.num_row_groups):
-                    sources.append((f, rg))
-                    counts.append(meta.row_group(rg).num_rows)
-            else:
-                sources.append(f)
-                counts.append(meta.num_rows)
-        key_refs = [
-            _file_keys.remote(s[0], i, s[1]) if isinstance(s, tuple)
-            else _file_keys.remote(s, i)
-            for i, s in enumerate(sources)]
+        sources, counts = _units(_corpus_files(corpus))
+        key_refs = [_file_keys.remote(s, i) for i, s in enumerate(sources)]
         finalize = _finalize_file
     else:
         mat = corpus.materialize()
@@ -437,11 +431,7 @@ def prep_docs(corpus, index_dir: str,
                     for i, r in enumerate(sources)]
         finalize = _finalize_block
 
-    if sum(counts) <= cfg.driver_dedup_max_rows:
-        id_arrays, n_docs = _assign_ids_driver(key_refs, counts)
-    else:
-        id_arrays, n_docs = _assign_ids_distributed(key_refs, counts,
-                                                    index_dir)
+    id_arrays, n_docs = assign_ids(key_refs, counts, index_dir)
     # a half-finished previous attempt leaves partial exchange and norms
     # files, possibly sliced differently (Dataset blocks need not
     # repeat), which would duplicate postings and norms — start clean
@@ -450,18 +440,24 @@ def prep_docs(corpus, index_dir: str,
               os.path.join(index_dir, "norms")):
         shutil.rmtree(d, ignore_errors=True)
     os.makedirs(exchange, exist_ok=True)
-    pairs = [
-        finalize.remote(src, ids,
-                        os.path.join(docs_dir, f"part-{i:05d}.parquet"),
-                        cfg, n_docs, exchange)
-        for i, (src, ids) in enumerate(zip(sources, id_arrays))
-    ]
+    doc_files = [os.path.join(docs_dir, f"part-{i:05d}.parquet")
+                 for i in range(len(sources))]
+    pairs = [finalize.remote(src, ids, out, cfg, n_docs, exchange)
+             for src, ids, out in zip(sources, id_arrays, doc_files)]
     sums = np.zeros(4, dtype=np.int64)
     for s in ray.get([s for _, s in pairs]):
         sums += s
     # the scale path's id-routing exchange is spent once finalize has run
     shutil.rmtree(os.path.join(index_dir, "_id_mapping"), ignore_errors=True)
-    _write_docmap(index_dir, n_docs)
+    docmap_dir = os.path.join(index_dir, "docmap")
+    if n_docs <= _DOCMAP_SINGLE_TASK_MAX_ROWS:
+        ray.get(write_docmap.remote(
+            doc_files, os.path.join(docmap_dir, "docmap.parquet")))
+    else:
+        import ray.data as rd
+
+        rd.read_parquet(doc_files, columns=_DOCMAP_COLS).sort("doc_id") \
+            .write_parquet(docmap_dir)
     mf.mark_stage(index_dir, "postings_raw")
     mf.mark_stage(index_dir, "docs",
                   {"n_docs": n_docs, "exchange_rows": int(sums[0]),
@@ -473,9 +469,9 @@ def prep_docs(corpus, index_dir: str,
 
 _DOCMAP_COLS = ["doc_id", "repo", "path", "commit", "lang", "sha256"]
 
-# below this many docs the docmap sort runs as ONE remote task (Arrow
-# sort_indices + a single multi-row-group file) instead of Ray Data's
-# all-to-all sort: measured 6.9 s -> ~0.5 s at 100k docs, where the
+# below this many docs the build's docmap sort runs as ONE remote task
+# (Arrow sort_indices + a single multi-row-group file) instead of Ray
+# Data's all-to-all sort: measured 6.9 s -> ~0.5 s at 100k docs, where the
 # distributed sort's fixed exchange overhead dwarfs the work. The
 # keys-only projection is ~200 B/doc, so the task peaks well under a
 # worker heap at the cap; past it the distributed sort takes over
@@ -484,37 +480,19 @@ _DOCMAP_SINGLE_TASK_MAX_ROWS = 2_000_000
 
 
 @ray.remote(num_cpus=1)
-def _docmap_single_task(docs_dir: str, docmap_dir: str) -> None:
-    tbl = pa_ds.dataset(docs_dir, format="parquet").to_table(
+def write_docmap(doc_files: list[str], out_path: str) -> None:
+    """The one docmap file writer (the build's, and each update's delta):
+    the doc-id-sorted metadata projection of ``doc_files`` (no content),
+    so the query-time result join prunes row groups by doc_id. zstd-1,
+    atomic tmp+rename; small row groups keep that pruning as
+    fine-grained as a multi-file layout."""
+    tbl = pa_ds.dataset(doc_files, format="parquet").to_table(
         columns=_DOCMAP_COLS)
     tbl = tbl.take(pc.sort_indices(tbl["doc_id"]))
-    os.makedirs(docmap_dir, exist_ok=True)
-    write_docmap_file(os.path.join(docmap_dir, "docmap.parquet"), tbl)
-
-
-def write_docmap_file(path: str, tbl: pa.Table) -> None:
-    """One doc-id-sorted docmap file (the build's and each update's delta),
-    zstd-1, atomic tmp+rename. Small row groups keep the query-time
-    gather's row-group pruning as fine-grained as a multi-file layout."""
-    tmp = path + f".tmp-{os.getpid()}"
+    os.makedirs(os.path.dirname(out_path), exist_ok=True)
+    tmp = out_path + f".tmp-{os.getpid()}"
     pq.write_table(tbl, tmp, row_group_size=32768, **_PQ_WRITE_KW)
-    os.replace(tmp, path)
-
-
-def _write_docmap(index_dir: str, n_docs: int | None = None) -> None:
-    """Stage 1b: doc-id-sorted metadata projection (no content) so the
-    query-time result join prunes row groups by doc_id. Keys-only sort —
-    content stays in docs/ untouched. Small corpora take the single-task
-    path; large ones the distributed sort."""
-    import ray.data as rd
-
-    docmap_dir = os.path.join(index_dir, "docmap")
-    docs_dir = os.path.join(index_dir, "docs")
-    if n_docs is not None and n_docs <= _DOCMAP_SINGLE_TASK_MAX_ROWS:
-        ray.get(_docmap_single_task.remote(docs_dir, docmap_dir))
-        return
-    meta = rd.read_parquet(docs_dir, columns=_DOCMAP_COLS)
-    meta.sort("doc_id").write_parquet(docmap_dir)
+    os.replace(tmp, out_path)
 
 
 @ray.remote(num_cpus=1)
@@ -1113,6 +1091,15 @@ def release_workers() -> None:
 # Driver
 # --------------------------------------------------------------------------
 
+def _updated(index_dir: str) -> bool:
+    """True once ``update_index`` has started on the index: a pending
+    update marker, or a delta file in ``docs/``."""
+    docs_dir = os.path.join(index_dir, "docs")
+    return os.path.exists(os.path.join(index_dir, "_update_pending.json")) \
+        or (os.path.isdir(docs_dir) and any(
+            n.startswith("delta-") for n in os.listdir(docs_dir)))
+
+
 @releases_pool_when_idle
 def build_index(corpus_ds, index_dir: str, cfg: IndexConfig | None = None,
                 corpus_tag: str = "default") -> dict:
@@ -1154,6 +1141,14 @@ def build_index(corpus_ds, index_dir: str, cfg: IndexConfig | None = None,
                 prior_fp = json.load(f).get("fingerprint")
         if prior_fp != fingerprint:
             shutil.rmtree(index_dir, ignore_errors=True)
+        elif _updated(index_dir):
+            # each update rewrote every part entry under its own
+            # fingerprint, so a resume would rebuild every part from the
+            # base corpus alone and drop the updates' postings
+            raise ValueError(
+                f"{index_dir} holds updates applied after this build; "
+                "build into a fresh directory, or pass a new corpus_tag "
+                "to replace the index")
     os.makedirs(os.path.join(index_dir, "manifest"), exist_ok=True)
     with open(start_marker, "w") as f:
         json.dump({"fingerprint": fingerprint, "corpus_tag": corpus_tag}, f)

@@ -37,7 +37,8 @@ Transient exchanges (removed once read, never in a finished index):
                         part entry and the positions stage have committed;
                         a rerun that finds a part or positions file gone
                         after that re-emits them with the prep+emit pass.
-  _id_mapping/, _delta_id_mapping/   scale-path id routing (build, update)
+  _id_mapping/          scale-path id routing (``build.assign_ids``, for
+                        the build and every update alike)
   postings_delta/, postings_delta_pos/   an update's postings exchange
   _update_pending.json                   an update in flight
 """

@@ -8,7 +8,8 @@ Semantics:
   previously-unseen keys in sorted-key order). Duplicates of existing keys
   or within the delta are dropped (keep-existing / keep-first).
 - Delta postings take the build's dataflow: the same one-pass finalize
-  task per delta file (write its ``docs/`` file, then tokenize that
+  task per delta unit (a file, or a row group of a file with several;
+  write its ``docs/`` file, then tokenize that
   in-memory table), the same partitioned-parquet exchange
   (``postings_delta/``), the same per-(part, salt) run encode
   tasks, whose refs the driver hands straight to one merge task per part,
@@ -17,12 +18,13 @@ Semantics:
   every existing id, the existing part is merged as a run ahead of salt
   0: per term, pure concatenation after the existing blocks — no
   re-encode of old data (the salt-run concat invariant, segments.py).
-- The delta docmap file is written by the build's docmap writer. With
+- The delta docmap file is written by the build's docmap writer
+  (``build.write_docmap``). With
   ``index_path_field`` set, each finalize task also writes its delta
   file's norms (``norms/delta-<n_base>-*.parquet``), as the build does.
 - Nothing transient outlives the commit: the delta exchange
   (``postings_delta/`` and ``postings_delta_pos/``) and the scale path's
-  ``_delta_id_mapping/`` are removed once they have been read.
+  ``_id_mapping/`` are removed once they have been read.
 - Collection stats are updated exactly (N' = N + M, total_tokens' += delta)
   so BM25 scores equal a from-scratch build over the union. Stored
   block-max bounds were computed under the *build-time* avgdl; since
@@ -30,14 +32,14 @@ Semantics:
   scaling with ``max(1, avgdl_now / min_bounds_avgdl)`` (stats field
   ``min_bounds_avgdl``) — looser pruning, never wrong results.
 
-Dedup against existing keys is a distributed anti-join: the delta's
-(key, origin, pos) projection unions with the docmap's keys-only
-projection (origin = -1, sorts first within a key), a keys-only Dataset
-sort makes each key's run contiguous, and per-block rank assignment with
-boundary carry gives new keys their ids — the same exchange pattern as
-the build's ``_assign_ids_distributed``; nothing key-set-sized is ever
-held on the driver. A vectorized driver fast path applies below
-``cfg.driver_dedup_max_rows`` total keys.
+Id assignment is the build's ``assign_ids``, with the committed docmap's
+keys as the existing rows: the delta's (key, origin, pos) projection
+unions with the docmap's keys-only projection (origin = -1, sorts first
+within a key), so a delta row gets an id only if its key is new — the
+anti-join. A build is the same call with no existing keys. Under
+``build._DRIVER_IDS_MAX_ROWS`` keys it runs on the driver; above it the
+keys-only Dataset sort and per-block rank tasks run, and nothing
+key-set-sized is held on the driver.
 
 Crash safety: the update is a multi-step mutation, so it writes an
 ``_update_pending.json`` marker first and commits stats last. Every step
@@ -62,7 +64,6 @@ import time
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray
 
@@ -73,11 +74,12 @@ from .build import (
     _encode_part_salt,
     _file_keys,
     _finalize_file,
-    _load_mapping,
+    _units,
     _write_part,
+    assign_ids,
     merge_runs,
     releases_pool_when_idle,
-    write_docmap_file,
+    write_docmap,
 )
 
 # config fields that define the on-disk index shape; an update MUST run
@@ -103,24 +105,6 @@ def _effective_config(stats: dict, cfg: IndexConfig | None) -> IndexConfig:
     return cfg
 
 
-# --------------------------------------------------------------------------
-# Delta id assignment: anti-join against the docmap + sorted-rank ids
-# --------------------------------------------------------------------------
-
-@ray.remote(num_cpus=1)
-def _docmap_keys(path: str) -> pa.Table:
-    """Keys-only projection of one committed docmap file, origin = -1 so an
-    existing row sorts before any delta row of the same key."""
-    tbl = pq.read_table(path, columns=["repo", "path", "commit"])
-    key = pc.binary_join_element_wise(tbl["repo"], tbl["path"],
-                                      tbl["commit"], "\x00")
-    return pa.table({
-        "key": key,
-        "origin": pa.array(np.full(tbl.num_rows, -1, dtype=np.int32)),
-        "pos": pa.array(np.arange(tbl.num_rows, dtype=np.int64)),
-    })
-
-
 def _docmap_key_files(index_dir: str, n_base: int) -> list[str]:
     """Committed docmap parquet files. Delta files at or above ``n_base``
     are uncommitted leftovers of a crashed update — excluded, otherwise a
@@ -136,138 +120,6 @@ def _docmap_key_files(index_dir: str, n_base: int) -> list[str]:
                 continue
         out.append(os.path.join(docmap_dir, name))
     return out
-
-
-def _first_and_delta(tbl: pa.Table, prev_last_key) -> np.ndarray:
-    """Mask of rows that are the first occurrence of their key (given the
-    previous sorted block's last key) AND are delta rows (origin >= 0) —
-    exactly the rows that receive a new doc id."""
-    keys = tbl["key"].combine_chunks()
-    n = tbl.num_rows
-    first = np.ones(n, dtype=bool)
-    if n > 1:
-        eq = pc.equal(keys.slice(1), keys.slice(0, n - 1))
-        first[1:] = np.logical_not(eq.to_numpy(zero_copy_only=False))
-    if n and prev_last_key is not None and keys[0].as_py() == prev_last_key:
-        first[0] = False
-    is_delta = tbl["origin"].to_numpy(zero_copy_only=False) >= 0
-    return first & is_delta
-
-
-@ray.remote(num_cpus=1)
-def _delta_block_info(refs: list) -> list:
-    out = []
-    for tbl in ray.get(refs):
-        if tbl.num_rows == 0:
-            out.append(None)
-            continue
-        n = tbl.num_rows
-        first = (tbl["key"][0].as_py(), tbl["origin"][0].as_py(),
-                 tbl["pos"][0].as_py())
-        last = (tbl["key"][n - 1].as_py(), tbl["origin"][n - 1].as_py(),
-                tbl["pos"][n - 1].as_py())
-        out.append((first, last))
-    return out
-
-
-@ray.remote(num_cpus=1, num_returns=2)
-def _delta_distinct_count(tbl: pa.Table, prev_last_key):
-    if tbl.num_rows == 0:
-        return 0, None
-    return int(_first_and_delta(tbl, prev_last_key).sum()), None
-
-
-@ray.remote(num_cpus=1)
-def _emit_delta_mapping(tbl: pa.Table, prev_last_key, rank_offset: int,
-                        mapping_dir: str, uid: str) -> int:
-    """Assign sorted-rank ids to this block's new delta keys and write the
-    (pos, doc_id) mapping partitioned by origin (existing rows emit
-    nothing; delta duplicates get -1 via the loader's default fill)."""
-    if tbl.num_rows == 0:
-        return 0
-    assign = _first_and_delta(tbl, prev_last_key)
-    ids = np.where(assign, rank_offset + np.cumsum(assign) - 1,
-                   -1).astype(np.int64)
-    origin_np = tbl["origin"].to_numpy(zero_copy_only=False)
-    keep = origin_np >= 0
-    out = pa.table({
-        "origin": pa.array(origin_np[keep].astype(np.int32)),
-        "pos": pc.filter(tbl["pos"], pa.array(keep)),
-        "doc_id": pa.array(ids[keep]),
-    }).sort_by("origin")
-    origins = out["origin"].to_numpy(zero_copy_only=False)
-    if origins.size:
-        bounds = np.flatnonzero(np.diff(origins)) + 1
-        starts = np.concatenate(([0], bounds))
-        ends = np.concatenate((bounds, [len(origins)]))
-        for s, e in zip(starts, ends):
-            o = int(origins[s])
-            odir = os.path.join(mapping_dir, f"origin={o}")
-            os.makedirs(odir, exist_ok=True)
-            pq.write_table(out.slice(s, e - s).drop_columns(["origin"]),
-                           os.path.join(odir, f"{uid}.parquet"))
-    return int(assign.sum())
-
-
-def _assign_delta_ids(index_dir: str, files: list[str], counts: list[int],
-                      n_base: int, cfg: IndexConfig) -> tuple[list, int]:
-    """Anti-join delta keys against the docmap and assign ids n_base..
-    Returns (per-origin id arrays or ObjectRefs, n_new)."""
-    ex_files = _docmap_key_files(index_dir, n_base)
-    key_refs = [_file_keys.remote(f, i) for i, f in enumerate(files)]
-    ex_refs = [_docmap_keys.remote(f) for f in ex_files]
-    n_existing = sum(pq.ParquetFile(f).metadata.num_rows for f in ex_files)
-
-    if n_existing + sum(counts) <= cfg.driver_dedup_max_rows:
-        # driver fast path — same math, one vectorized pass, no Ray sort
-        tbl = pa.concat_tables(ray.get(ex_refs + key_refs))
-        s = tbl.sort_by([("key", "ascending"), ("origin", "ascending"),
-                         ("pos", "ascending")])
-        assign = _first_and_delta(s, None)
-        ids_sorted = np.where(assign, n_base + np.cumsum(assign) - 1,
-                              -1).astype(np.int64)
-        origin = s["origin"].to_numpy(zero_copy_only=False)
-        pos = s["pos"].to_numpy(zero_copy_only=False)
-        per_origin = []
-        for i, c in enumerate(counts):
-            arr = np.full(c, -1, dtype=np.int64)
-            m = origin == i
-            arr[pos[m]] = ids_sorted[m]
-            per_origin.append(arr)
-        return per_origin, int(assign.sum())
-
-    # scale path: keys-only Dataset sort; existing rows sort first within a
-    # key, so first-occurrence-and-delta == brand-new key (anti-join)
-    import ray.data as rd
-
-    sorted_mat = (rd.from_arrow_refs(ex_refs + key_refs)
-                  .sort(["key", "origin", "pos"]).materialize())
-    refs2 = list(sorted_mat.to_arrow_refs())
-    info = ray.get(_delta_block_info.remote(list(refs2)))
-    nonempty = [(fl, r) for fl, r in zip(info, refs2) if fl is not None]
-    nonempty.sort(key=lambda x: x[0])  # (first, last) tuple order
-    prev_lasts, prev = [], None
-    for (first, last), _ in nonempty:
-        prev_lasts.append(prev)
-        prev = last[0]  # boundary carry needs the key only
-    dpairs = [_delta_distinct_count.remote(r, pl)
-              for (_, r), pl in zip(nonempty, prev_lasts)]
-    dcounts = ray.get([c for c, _ in dpairs])
-    rank_offsets = np.full(len(dcounts), n_base, dtype=np.int64)
-    if len(dcounts) > 1:
-        rank_offsets[1:] += np.cumsum(dcounts[:-1])
-    mapping_dir = os.path.join(index_dir, "_delta_id_mapping")
-    shutil.rmtree(mapping_dir, ignore_errors=True)
-    os.makedirs(mapping_dir, exist_ok=True)
-    ray.get([
-        _emit_delta_mapping.remote(r, pl, int(off), mapping_dir,
-                                   f"d{j:05d}")
-        for j, ((_, r), pl, off)
-        in enumerate(zip(nonempty, prev_lasts, rank_offsets))
-    ])
-    refs = [_load_mapping.remote(mapping_dir, i, c)
-            for i, c in enumerate(counts)]
-    return refs, int(sum(dcounts))
 
 
 # --------------------------------------------------------------------------
@@ -364,9 +216,10 @@ def update_index(new_corpus: str | list[str], index_dir: str,
     write is deterministic and atomic, merged parts are skipped via the
     manifest, and the final stats commit is applied exactly once.
 
-    Each delta file is read once: its finalize task writes the file's
-    ``docs/`` delta and tokenizes the same table into the delta exchange,
-    so a delta under ``driver_dedup_max_rows`` runs no Ray Data plan.
+    Each delta unit (file, or row group) is read once: its finalize task
+    writes the unit's ``docs/`` delta and tokenizes the same table into
+    the delta exchange, so an update under ``build._DRIVER_IDS_MAX_ROWS``
+    keys runs no Ray Data plan.
 
     Like ``build_index``, it leaves the task-worker pool warm for the
     next round and retires it once none follows within
@@ -376,10 +229,7 @@ def update_index(new_corpus: str | list[str], index_dir: str,
     cfg = _effective_config(stats, cfg)
     t0 = time.monotonic()
 
-    if isinstance(new_corpus, (list, tuple)):
-        files = sorted(os.path.abspath(f) for f in new_corpus)
-    else:
-        files = [os.path.abspath(f) for f in _corpus_files(new_corpus)]
+    files = [os.path.abspath(f) for f in _corpus_files(new_corpus)]
     pending = _pending_path(index_dir)
     if os.path.exists(pending):
         with open(pending) as f:
@@ -408,40 +258,38 @@ def update_index(new_corpus: str | list[str], index_dir: str,
                        "corpus_files": files}, f)
         os.replace(tmp, pending)
 
-    # ---- id assignment: distributed anti-join vs the committed docmap
-    counts = [pq.ParquetFile(f).metadata.num_rows for f in files]
-    id_arrays, n_new = _assign_delta_ids(index_dir, files, counts,
-                                         n_base, cfg)
+    # ---- id assignment: the build's, anti-joined against the committed
+    # docmap (one unit per file, or per row group as in the build)
+    sources, counts = _units(files)
+    id_arrays, n_new = assign_ids(
+        [_file_keys.remote(u, i) for i, u in enumerate(sources)], counts,
+        index_dir, [_file_keys.remote(f, -1)
+                    for f in _docmap_key_files(index_dir, n_base)], n_base)
     n_total = n_base + n_new
 
-    # ---- finalize delta docs + postings exchange, one pass per file
+    # ---- finalize delta docs + postings exchange, one pass per unit
     # (deterministic names → idempotent resume); salts are computed over
     # the union range [0, n_total): delta ids land in the upper salt
     # buckets, still contiguous non-decreasing runs
     docs_dir = os.path.join(index_dir, "docs")
     new_doc_files = [
         os.path.join(docs_dir, f"delta-{n_base:012d}-{i:05d}.parquet")
-        for i in range(len(files))]
+        for i in range(len(sources))]
     delta_dir = _drop_delta_exchange(index_dir)
     os.makedirs(delta_dir, exist_ok=True)
-    pairs = [_finalize_file.remote(f, ids, out, cfg, n_total, delta_dir)
-             for f, ids, out in zip(files, id_arrays, new_doc_files)]
+    pairs = [_finalize_file.remote(u, ids, out, cfg, n_total, delta_dir)
+             for u, ids, out in zip(sources, id_arrays, new_doc_files)]
     delta_tokens = delta_path_tokens = 0
     for _rows, _bytes, tokens, path_tokens in ray.get([s for _, s in pairs]):
         delta_tokens += tokens
         delta_path_tokens += path_tokens
     # the scale path's id-routing exchange is spent once finalize has run
-    shutil.rmtree(os.path.join(index_dir, "_delta_id_mapping"),
-                  ignore_errors=True)
+    shutil.rmtree(os.path.join(index_dir, "_id_mapping"), ignore_errors=True)
 
     # ---- delta docmap (ids all > existing -> file-level pruning works)
-    delta_meta = pa.concat_tables([
-        pq.read_table(p, columns=["doc_id", "repo", "path", "commit",
-                                  "lang", "sha256"])
-        for p in new_doc_files]).sort_by("doc_id")
-    write_docmap_file(os.path.join(index_dir, "docmap",
-                                   f"delta-{n_base:012d}.parquet"),
-                      delta_meta)
+    ray.get(write_docmap.remote(
+        new_doc_files, os.path.join(index_dir, "docmap",
+                                    f"delta-{n_base:012d}.parquet")))
 
     # ---- merge delta runs into segments (skip parts already merged)
     avgdl_build = stats["avgdl"] if stats["avgdl"] > 0 else 1.0

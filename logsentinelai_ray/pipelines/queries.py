@@ -1800,6 +1800,26 @@ class _EngineCache(OrderedDict):
 
 
 _ENGINE_CACHE = _EngineCache(cap=2)
+
+_IDX_ROOT: str | None = None
+
+
+def _idx_root() -> str:
+    """Root of the registry's index and store directories: one fresh
+    directory per process, removed at exit. A registry call resumes
+    whatever index it finds at its path, so a root shared between
+    processes would serve indexes that other code versions wrote."""
+    global _IDX_ROOT
+    if _IDX_ROOT is None:
+        import atexit
+        import shutil
+        import tempfile
+
+        _IDX_ROOT = tempfile.mkdtemp(prefix="lsai_idx-")
+        atexit.register(shutil.rmtree, _IDX_ROOT, ignore_errors=True)
+    return _IDX_ROOT
+
+
 BM25_QUERY_TEXT = "error merge spark window"
 
 
@@ -1931,7 +1951,7 @@ def _docs_engine(sf_dir: str):
         .map_batches(_corpusify_docs, batch_format="pyarrow")
     tag = "documents#v2:" + sf_dir.rstrip("/")
     idx_dir = os.path.join(
-        "/tmp/lsai_idx",
+        _idx_root(),
         hashlib.sha256(tag.encode()).hexdigest()[:16])
     cfg = IndexConfig(num_partitions=8, salt_buckets=4,
                       store_positions=True, index_path_field=True)
@@ -1967,7 +1987,7 @@ def _incr_engine(sf_dir: str):
 
         tag = "documents-incr#v2:" + sf_dir.rstrip("/")
         work = os.path.join(
-            "/tmp/lsai_idx",
+            _idx_root(),
             hashlib.sha256(tag.encode()).hexdigest()[:16])
         shutil.rmtree(work, ignore_errors=True)
         os.makedirs(f"{work}/base", exist_ok=True)
@@ -2031,7 +2051,7 @@ def q_pit_search(sf_dir: str):
 
         tag = "documents-pit#v1:" + sf_dir.rstrip("/")
         work = os.path.join(
-            "/tmp/lsai_idx",
+            _idx_root(),
             hashlib.sha256(tag.encode()).hexdigest()[:16])
         shutil.rmtree(work, ignore_errors=True)
         os.makedirs(f"{work}/base", exist_ok=True)
@@ -2176,7 +2196,7 @@ def q_alias_search(sf_dir: str):
 
     eng = _docs_engine(sf_dir)
     reg = os.path.join(
-        "/tmp/lsai_idx",
+        _idx_root(),
         "aliases-" + hashlib.sha256(sf_dir.encode()).hexdigest()[:12],
         "registry.json")
     al.put_alias(reg, "docs-fr",
@@ -2287,7 +2307,7 @@ def _fed_engine(sf_dir: str):
             .map_batches(_corpusify_docs, batch_format="pyarrow")
         tag = "documents-fed#v2:" + sf_dir.rstrip("/")
         work = os.path.join(
-            "/tmp/lsai_idx",
+            _idx_root(),
             hashlib.sha256(tag.encode()).hexdigest()[:16])
         shutil.rmtree(work, ignore_errors=True)
         # keys-only median boundary (footer count + id-column sort),
@@ -2351,7 +2371,7 @@ def q_rollover_search(sf_dir: str):
         n = _docs_count(sf_dir)
         tag = "documents-roll#v1:" + sf_dir.rstrip("/")
         work = os.path.join(
-            "/tmp/lsai_idx",
+            _idx_root(),
             hashlib.sha256(tag.encode()).hexdigest()[:16])
         shutil.rmtree(work, ignore_errors=True)
         os.makedirs(work)
@@ -2419,7 +2439,7 @@ def q_bm25_topk_stopped(sf_dir: str):
             .map_batches(_corpusify_docs, batch_format="pyarrow")
         tag = "documents-stop#v1:" + sf_dir.rstrip("/")
         idx_dir = os.path.join(
-            "/tmp/lsai_idx",
+            _idx_root(),
             hashlib.sha256(tag.encode()).hexdigest()[:16])
         cfg = IndexConfig(num_partitions=8, salt_buckets=4,
                           stop_words=("the", "a"))
@@ -2456,7 +2476,7 @@ def q_bm25_topk_stemmed(sf_dir: str):
             .map_batches(_corpusify_docs, batch_format="pyarrow")
         tag = "documents-stem#v1:" + sf_dir.rstrip("/")
         idx_dir = os.path.join(
-            "/tmp/lsai_idx",
+            _idx_root(),
             hashlib.sha256(tag.encode()).hexdigest()[:16])
         cfg = IndexConfig(num_partitions=8, salt_buckets=4,
                           stem="minimal_english")
@@ -2496,7 +2516,7 @@ def q_ilm_search(sf_dir: str):
             .map_batches(_corpusify_docs, batch_format="pyarrow")
         tag = "documents-ilm#v1:" + sf_dir.rstrip("/")
         work = os.path.join(
-            "/tmp/lsai_idx",
+            _idx_root(),
             hashlib.sha256(tag.encode()).hexdigest()[:16])
         shutil.rmtree(work, ignore_errors=True)
         os.makedirs(work)
@@ -3303,7 +3323,7 @@ def q_ccr_follow(sf_dir: str):
         half = int(np.median(did))
         tag = "documents-ccr#v1:" + sf_dir.rstrip("/")
         work = os.path.join(
-            "/tmp/lsai_idx",
+            _idx_root(),
             hashlib.sha256(tag.encode()).hexdigest()[:16])
         shutil.rmtree(work, ignore_errors=True)
         os.makedirs(f"{work}/base", exist_ok=True)
@@ -4169,10 +4189,11 @@ def q_dedup_incremental(sf_dir: str):
                           batch_format="pyarrow")
     delta = ds.map_batches(partial(keep, in_delta=True),
                            batch_format="pyarrow")
-    # the store persists per sf_dir (repeated bench/sweep calls probe
-    # the existing partitions instead of re-emitting the base corpus)
+    # the store persists per sf_dir within the process (repeated
+    # bench/sweep calls probe the existing partitions instead of
+    # re-emitting the base corpus)
     tag = "mh-store#v1:" + sf_dir.rstrip("/")
-    store = os.path.join("/tmp/lsai_idx",
+    store = os.path.join(_idx_root(),
                          hashlib.sha256(tag.encode()).hexdigest()[:16])
     if ("mhstore", sf_dir) not in _ENGINE_CACHE:
         shutil.rmtree(store, ignore_errors=True)
@@ -4460,7 +4481,7 @@ def q_clean_corpus_search(sf_dir: str):
         corpus = filtered.map_batches(to_corpus, batch_format="pyarrow")
         tag = "clean#v2:" + sf_dir.rstrip("/")
         idx_dir = os.path.join(
-            "/tmp/lsai_idx",
+            _idx_root(),
             _hashlib.sha256(tag.encode()).hexdigest()[:16])
         build_index(corpus, idx_dir,
                     IndexConfig(num_partitions=8, salt_buckets=4),
@@ -4616,7 +4637,7 @@ def q_embedding_knn_ivfpq(sf_dir: str):
 
     ds = _read(sf_dir, "embeddings", columns=["vec_id", "embedding"])
     out = os.path.join(
-        "/tmp/lsai_idx", "ivfpq-" + hashlib.sha256(
+        _idx_root(), "ivfpq-" + hashlib.sha256(
             sf_dir.rstrip("/").encode()).hexdigest()[:12])
     if not os.path.exists(os.path.join(out, "meta.json")):
         cent = ivf_centroids(ds, n_centroids=8, n_iters=8)

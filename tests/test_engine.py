@@ -272,24 +272,100 @@ def test_resume_skips_completed_partitions(small_corpus, tmp_path,
     assert before == after
 
 
-def test_distributed_dedup_path_matches_driver_path(small_corpus, tmp_path):
-    """The Dataset-groupby dedup (scale path) and the driver-side dedup
-    (small path) must produce identical doc maps."""
+def _with_content(tbl, n, tag):
+    """``tbl`` repeated up to ``n`` rows, each row's content made unique."""
+    import pyarrow as pa
+
+    rows = pa.concat_tables([tbl] * (-(-n // tbl.num_rows))).slice(0, n)
+    return rows.set_column(rows.schema.get_field_index("content"), "content",
+                           pa.array([f"{tag} {i}" for i in range(n)]))
+
+
+def _keep_first(units, existing=()):
+    """The rows that keep-first dedup keeps: per (repo, path, commit) key
+    the row lowest in (unit, row) order, unless ``existing`` holds the key;
+    as {key: (content, doc_id)} with ids ranked in sorted-key order from
+    ``len(existing)``."""
+    first = {}
+    for t in units:
+        for r in t.select(["repo", "path", "commit", "content"]).to_pylist():
+            k = (r["repo"], r["path"], r["commit"])
+            if k not in existing:
+                first.setdefault(k, r["content"])
+    keys = sorted(first, key=lambda k: "\x00".join(k))
+    return {k: (first[k], len(existing) + i) for i, k in enumerate(keys)}
+
+
+def _docs_by_key(idx, lo=0):
+    docs = pq.read_table(os.path.join(idx, "docs"))
+    return {(r["repo"], r["path"], r["commit"]): (r["content"], r["doc_id"])
+            for r in docs.to_pylist() if r["doc_id"] >= lo}
+
+
+def test_distributed_dedup_path_matches_driver_path(small_corpus, tmp_path,
+                                                    monkeypatch):
+    """The scale path (keys-only Ray Data sort + per-block rank tasks)
+    and the driver path must produce identical doc maps, and keep the
+    same row of every duplicated key: the lowest (origin, pos), from paths
+    and from a Dataset alike, with one key's run spanning sorted blocks.
+    An update keeps every existing row and the first delta row of each
+    new key."""
+    import pyarrow as pa
     import ray.data as rd
 
     from logsentinelai_ray.config import IndexConfig
+    from logsentinelai_ray.index import build
     from logsentinelai_ray.index.build import build_index
+    from logsentinelai_ray.index.update import update_index
 
     outs = []
     for thresh, sub in ((0, "a"), (10**9, "b")):
-        cfg = IndexConfig(num_partitions=4, salt_buckets=2,
-                          driver_dedup_max_rows=thresh)
+        monkeypatch.setattr(build, "_DRIVER_IDS_MAX_ROWS", thresh)
+        cfg = IndexConfig(num_partitions=4, salt_buckets=2)
         idx = str(tmp_path / sub)
         build_index(rd.from_arrow(small_corpus), idx, cfg, corpus_tag="d")
         docs = pq.read_table(os.path.join(idx, "docs")).sort_by("doc_id")
         outs.append(docs.select(["doc_id", "repo", "path", "commit",
                                  "sha256"]))
     assert outs[0].equals(outs[1])
+
+    # units sharing keys with different content; one key fills every row
+    # of three units (121 of the 360 key rows), so its run spans blocks
+    one = small_corpus.slice(0, 1)
+    units = [_with_content(one, 40, "u0"),
+             _with_content(small_corpus.slice(0, 120), 120, "u1"),
+             _with_content(one, 40, "u2"),
+             _with_content(small_corpus.slice(60, 120), 120, "u3"),
+             _with_content(one, 40, "u4")]
+    # 30 rows the index holds, 30 new ones, then 10 of the new ones again
+    delta = _with_content(pa.concat_tables([small_corpus.slice(150, 60),
+                                            small_corpus.slice(190, 10)]),
+                          70, "d0")
+    expect = _keep_first(units)
+    expect_delta = _keep_first([delta], expect)
+    assert len(expect_delta) >= 20
+    assert expect[tuple(one.select(["repo", "path", "commit"])
+                        .to_pylist()[0].values())][0] == "u0 0"
+    cfg = IndexConfig(num_partitions=4, salt_buckets=2)
+    for thresh in (0, 10**9):
+        monkeypatch.setattr(build, "_DRIVER_IDS_MAX_ROWS", thresh)
+        for route in ("path", "arrow"):
+            root = tmp_path / f"kf-{thresh}-{route}"
+            os.makedirs(root / "in")
+            for i, t in enumerate(units):
+                pq.write_table(t, str(root / "in" / f"u{i}.parquet"))
+            os.makedirs(root / "delta")
+            pq.write_table(delta, str(root / "delta" / "0.parquet"))
+            idx = str(root / "idx")
+            corpus = (str(root / "in") if route == "path"
+                      else rd.from_arrow(units))
+            build_index(corpus, idx, cfg, corpus_tag="kf")
+            assert _docs_by_key(idx) == expect, (thresh, route)
+            res = update_index(str(root / "delta"), idx, cfg,
+                               delta_tag="kf-d")
+            assert res["n_new_docs"] == len(expect_delta)
+            assert _docs_by_key(idx, len(expect)) == expect_delta
+            assert _docs_by_key(idx) == {**expect, **expect_delta}
 
 
 def test_resume_after_partial_emit(small_corpus, tmp_path, monkeypatch):

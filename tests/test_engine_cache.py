@@ -81,3 +81,20 @@ def test_index_backed_entries_hold_bounded_actors(ray_session):
         assert n <= ceiling, (name, n, ceiling)
     assert len(_ENGINE_CACHE) <= _ENGINE_CACHE.cap
     assert peak > base
+
+
+def test_registry_index_root_is_per_process():
+    """The registry's index directories live under one root per process,
+    made afresh (not a fixed path another process or code version could
+    have left an index in)."""
+    import os
+    import tempfile
+
+    from logsentinelai_ray.pipelines.queries import _idx_root
+
+    root = _idx_root()
+    assert _idx_root() == root
+    assert os.path.isdir(root)
+    assert os.path.normpath(root) != "/tmp/lsai_idx"
+    assert os.path.dirname(root) == tempfile.gettempdir()
+    assert os.path.basename(root).startswith("lsai_idx-")

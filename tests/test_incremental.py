@@ -116,24 +116,25 @@ def _mk_corpora(root, n_base=120, n_delta=60, overlap=9):
 
 
 def test_distributed_anti_join_matches_driver_path(ray_session,
-                                                   tmp_path_factory):
+                                                   tmp_path_factory,
+                                                   monkeypatch):
     """The scale path (keys-only Dataset sort + per-block rank assignment)
     must assign exactly the ids the vectorized driver path assigns."""
-    import dataclasses
-
     from logsentinelai_ray.config import IndexConfig
+    from logsentinelai_ray.index import build
     from logsentinelai_ray.index.build import build_index
     from logsentinelai_ray.index.update import update_index
 
     cfg = IndexConfig(num_partitions=4, salt_buckets=2, block_size=32)
-    cfg_dist = dataclasses.replace(cfg, driver_dedup_max_rows=0)
     results = {}
-    for label, c in (("driver", cfg), ("dist", cfg_dist)):
+    for label, max_rows in (("driver", build._DRIVER_IDS_MAX_ROWS),
+                            ("dist", 0)):
+        monkeypatch.setattr(build, "_DRIVER_IDS_MAX_ROWS", max_rows)
         root = tmp_path_factory.mktemp(f"aj_{label}")
         base_dir, delta_dir = _mk_corpora(root)
         idx = str(root / "idx")
-        build_index(base_dir, idx, c, corpus_tag="b")
-        res = update_index(delta_dir, idx, c, delta_tag="d")
+        build_index(base_dir, idx, cfg, corpus_tag="b")
+        res = update_index(delta_dir, idx, cfg, delta_tag="d")
         docmap = pq.read_table(os.path.join(idx, "docmap"))
         results[label] = (res["n_new_docs"],
                           docmap.sort_by("doc_id").to_pydict())
@@ -264,6 +265,60 @@ def test_update_rejects_mismatched_config(ray_session, tmp_path_factory):
     # cfg=None derives the shape from stats.json and must succeed
     res = update_index(delta_dir, idx, None, delta_tag="d")
     assert res["n_new_docs"] > 0
+
+
+def test_build_refuses_an_updated_index(ray_session, tmp_path_factory):
+    """A build rerun with the same corpus and tag on an index an update
+    has changed (a delta in docs/, or an update in flight) raises before
+    it writes anything: the delta's docs stay searchable and the docmap
+    keeps one row per doc."""
+    from logsentinelai_ray.config import IndexConfig
+    from logsentinelai_ray.index import manifest as mf
+    from logsentinelai_ray.index.build import build_index
+    from logsentinelai_ray.index.update import update_index
+    from logsentinelai_ray.query.shards import SearchEngine
+
+    root = tmp_path_factory.mktemp("rebuild")
+    base_dir, delta_dir = _mk_corpora(root, n_base=60, n_delta=30,
+                                      overlap=4)
+    delta_file = os.path.join(delta_dir, "part-0.parquet")
+    delta = pq.read_table(delta_file)
+    pq.write_table(delta.set_column(
+        delta.schema.get_field_index("content"), "content",
+        pa.array([c + " zqdeltamarker" for c in
+                  delta["content"].to_pylist()])), delta_file)
+    cfg = IndexConfig(num_partitions=4, salt_buckets=2, block_size=32)
+    idx = str(root / "idx")
+
+    def marker_hits():
+        eng = SearchEngine(idx)
+        try:
+            res = eng.search("zqdeltamarker", k=100, with_meta=False)
+            return list(zip(res["doc_id"].to_pylist(),
+                            res["score"].to_pylist()))
+        finally:
+            eng.shutdown()
+
+    n_base = build_index(base_dir, idx, cfg, corpus_tag="b")["n_docs"]
+    res = update_index(delta_dir, idx, cfg, delta_tag="d")
+    hits = marker_hits()
+    assert len(hits) == res["n_new_docs"] > 0
+    with pytest.raises(ValueError, match="fresh directory.*corpus_tag"):
+        build_index(base_dir, idx, cfg, corpus_tag="b")
+    assert marker_hits() == hits
+    n_docs = mf.read_stats(idx)["n_docs"]
+    assert pq.read_table(os.path.join(idx, "docmap")).num_rows == n_docs
+
+    # an update in flight (its marker written, no delta file yet)
+    idx2 = str(root / "idx2")
+    build_index(base_dir, idx2, cfg, corpus_tag="b")
+    with open(os.path.join(idx2, "_update_pending.json"), "w") as f:
+        f.write("{}")
+    with pytest.raises(ValueError, match="fresh directory.*corpus_tag"):
+        build_index(base_dir, idx2, cfg, corpus_tag="b")
+    # a new tag replaces the index
+    assert build_index(base_dir, idx2, cfg,
+                       corpus_tag="b2")["n_docs"] == n_base
 
 
 def test_update_by_query_search_reflects_update(ray_session):

@@ -5,7 +5,7 @@ file and tokenizes the same in-memory table into the postings exchange.
   Ray Data emit plan over docs/) wrote: digests of the segment rows per
   part, docs, docmap, positions and stats.json are pinned, after a build
   and after 3 updates, and no postings exchange survives either.
-- A build and an update from Parquet paths under the driver-dedup
+- A build and an update from Parquet paths under the driver-ids
   threshold run no Ray Data plan.
 - A retried finalize unit overwrites its own exchange files."""
 
@@ -27,10 +27,12 @@ CASES = {
     "arrow-default": ("arrow", {}),
     "path-positions": ("path", _POS_CFG),
     "arrow-positions": ("arrow", _POS_CFG),
-    "path-scale": ("path", dict(driver_dedup_max_rows=0)),
-    "arrow-scale": ("arrow", dict(driver_dedup_max_rows=0)),
+    "path-scale": ("path", {}),
+    "arrow-scale": ("arrow", {}),
     "rowgroups": ("rowgroups", {}),
 }
+# cases whose ids take the scale path (``build._DRIVER_IDS_MAX_ROWS = 0``)
+SCALE_CASES = ("path-scale", "arrow-scale")
 
 # component digests (after build, after 3 updates), recorded while the
 # build still kept its exchange; they equal the two-pass build's, which
@@ -173,9 +175,11 @@ def _base_corpus() -> pa.Table:
     return generate_corpus(CorpusConfig(n_docs=300, seed=11))
 
 
-def _write_delta(base: pa.Table, i: int, out_dir: str) -> list[str]:
+def _write_delta(base: pa.Table, i: int, out_dir: str,
+                 row_group_size: int | None = None) -> list[str]:
     """Delta ``i``: 60 fresh docs, 10 rows already in the base and one row
-    repeated inside the delta, split over two files."""
+    repeated inside the delta, split over two files (of several row groups
+    each with ``row_group_size``)."""
     from logsentinelai_ray.config import CorpusConfig
     from logsentinelai_ray.corpus import generate_corpus
 
@@ -187,7 +191,7 @@ def _write_delta(base: pa.Table, i: int, out_dir: str) -> list[str]:
     files = []
     for j, (s, n) in enumerate(((0, 40), (40, tbl.num_rows - 40))):
         f = os.path.join(out_dir, f"d{j}.parquet")
-        pq.write_table(tbl.slice(s, n), f)
+        pq.write_table(tbl.slice(s, n), f, row_group_size=row_group_size)
         files.append(f)
     return files
 
@@ -199,6 +203,7 @@ def run_case(case: str, work: str) -> tuple[dict, dict]:
     import ray.data as rd
 
     from logsentinelai_ray.config import IndexConfig
+    from logsentinelai_ray.index import build
     from logsentinelai_ray.index.build import build_index
     from logsentinelai_ray.index.update import update_index
 
@@ -221,13 +226,20 @@ def run_case(case: str, work: str) -> tuple[dict, dict]:
     else:
         corpus = rd.from_arrow([base.slice(100 * j, 100) for j in range(3)])
     idx = os.path.join(work, "idx")
-    build_index(corpus, idx, cfg, corpus_tag=case)
-    assert _exchanges(idx) == []
-    built = index_digests(idx)
-    for i in range(3):
-        files = _write_delta(base, i, os.path.join(work, f"delta{i}"))
-        update_index(files, idx, cfg, delta_tag=f"{case}-d{i}")
+    with pytest.MonkeyPatch.context() as mp:
+        if case in SCALE_CASES:
+            mp.setattr(build, "_DRIVER_IDS_MAX_ROWS", 0)
+        build_index(corpus, idx, cfg, corpus_tag=case)
         assert _exchanges(idx) == []
+        built = index_digests(idx)
+        for i in range(3):
+            files = _write_delta(base, i, os.path.join(work, f"delta{i}"),
+                                 16 if route == "rowgroups" else None)
+            if route == "rowgroups":  # the update's units are row groups
+                assert all(pq.ParquetFile(f).metadata.num_row_groups > 1
+                           for f in files)
+            update_index(files, idx, cfg, delta_tag=f"{case}-d{i}")
+            assert _exchanges(idx) == []
     return built, index_digests(idx)
 
 

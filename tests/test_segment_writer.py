@@ -68,37 +68,41 @@ def _terms(idx: str) -> list[str]:
 @pytest.fixture(scope="module")
 def updated(ray_session, tmp_path_factory):
     """Two term partitions (~870 terms each) built and updated three
-    times on the scale path (``driver_dedup_max_rows=0``), so both id
-    routing exchanges are written and every part spans row groups."""
+    times on the scale path (``build._DRIVER_IDS_MAX_ROWS = 0``), so the
+    id routing exchange is written by the build and every update, and
+    every part spans row groups."""
     from logsentinelai_ray.config import CorpusConfig, IndexConfig
     from logsentinelai_ray.corpus import generate_corpus
+    from logsentinelai_ray.index import build
     from logsentinelai_ray.index import manifest as mf
     from logsentinelai_ray.index.build import build_index
     from logsentinelai_ray.index.update import update_index
 
-    root = tmp_path_factory.mktemp("segwriter")
-    cfg = IndexConfig(num_partitions=2, salt_buckets=2, block_size=16,
-                      store_positions=True, driver_dedup_max_rows=0)
-    base = generate_corpus(CorpusConfig(n_docs=240, seed=5))
-    os.makedirs(root / "base")
-    pq.write_table(base, str(root / "base" / "0.parquet"))
-    idx = str(root / "idx")
-    build_index(str(root / "base"), idx, cfg, corpus_tag="b")
-    built = {"dirs": set(os.listdir(idx)),
-             "row_groups": _assert_segment_files(idx),
-             "entry_keys": {frozenset(e) for e in _entries(idx)}}
-    n_bases = []
-    for b in range(3):
-        # 60 new docs plus 5 re-sent base rows the update must drop
-        delta = pa.concat_tables([
-            generate_corpus(CorpusConfig(n_docs=60, seed=100 + b)),
-            base.slice(b * 5, 5)])
-        os.makedirs(root / f"d{b}")
-        pq.write_table(delta, str(root / f"d{b}" / "0.parquet"))
-        n_bases.append(mf.read_stats(idx)["n_docs"])
-        res = update_index(str(root / f"d{b}"), idx, cfg,
-                           delta_tag=f"d{b}")
-        assert res["n_new_docs"] == 60
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(build, "_DRIVER_IDS_MAX_ROWS", 0)
+        root = tmp_path_factory.mktemp("segwriter")
+        cfg = IndexConfig(num_partitions=2, salt_buckets=2, block_size=16,
+                          store_positions=True)
+        base = generate_corpus(CorpusConfig(n_docs=240, seed=5))
+        os.makedirs(root / "base")
+        pq.write_table(base, str(root / "base" / "0.parquet"))
+        idx = str(root / "idx")
+        build_index(str(root / "base"), idx, cfg, corpus_tag="b")
+        built = {"dirs": set(os.listdir(idx)),
+                 "row_groups": _assert_segment_files(idx),
+                 "entry_keys": {frozenset(e) for e in _entries(idx)}}
+        n_bases = []
+        for b in range(3):
+            # 60 new docs plus 5 re-sent base rows the update must drop
+            delta = pa.concat_tables([
+                generate_corpus(CorpusConfig(n_docs=60, seed=100 + b)),
+                base.slice(b * 5, 5)])
+            os.makedirs(root / f"d{b}")
+            pq.write_table(delta, str(root / f"d{b}" / "0.parquet"))
+            n_bases.append(mf.read_stats(idx)["n_docs"])
+            res = update_index(str(root / f"d{b}"), idx, cfg,
+                               delta_tag=f"d{b}")
+            assert res["n_new_docs"] == 60
     return idx, cfg, built, n_bases
 
 
