@@ -10,7 +10,8 @@ reference's data-processing semantics as idiomatic Ray Data pipelines:
 - ``analysis``     : code-aware tokenizer (identifier splitting) — the ES "analyzer"
 - ``index``        : SPIMI posting-list build, delta+varint+block-max codec,
                      term-hash-partitioned segments, resume manifest
-- ``query``        : BM25 (k1=1.2, b=0.75), block-max WAND top-k, IndexShard actors
+- ``query``        : BM25 (k1=1.2, b=0.75), block-max WAND top-k, IndexShards
+                     (in process up to 48 MiB of segments, actors above)
 - ``stages``       : reference-parity operators (metadata stamping, severity,
                      aggregations, top-N, dead-letter)
 - ``functions``    : text analysis (lang-id, quality, token counts, fingerprints)

@@ -2020,8 +2020,9 @@ def q_bm25_topk_incremental(sf_dir: str):
 def q_pit_search(sf_dir: str):
     """ES point-in-time (PIT) search: a reader opened before a write
     keeps serving the exact pre-write view for its lifetime. The engine
-    gets this from its architecture rather than an id registry: an
-    ``IndexShard`` actor pool loads segments into memory at construction
+    gets this from its architecture rather than an id registry: its
+    ``IndexShard`` pool (in process for a small index, actors for a
+    large one) loads segments into memory at construction
     and the docmap ``pyarrow.dataset`` pins its file list, so a
     ``SearchEngine`` constructed before ``update_index`` IS an open PIT
     — its results are bit-identical to the pre-update search even after

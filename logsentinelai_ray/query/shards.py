@@ -1,4 +1,5 @@
-"""IndexShard actor pool + the driver-side SearchEngine.
+"""IndexShard pool (in process, or one actor per shard) + the driver-side
+SearchEngine.
 
 The shards are the stateful analog of the reference's GeoIP reader — load
 once in ``__init__``, serve every query after (reference core/geoip.py:32-59
@@ -194,56 +195,95 @@ def _match_rare(max_df: int, terms, dfs):
 def _match_fuzzy(term: str, max_edits: int, transpositions: bool,
                  terms, dfs):
     """Within ``max_edits`` Levenshtein edits (Damerau–Levenshtein with
-    ``transpositions``, the ES ``fuzziness`` default): a vectorized
-    length prefilter (edit distance >= length difference), then the DP
-    on the small survivor set. An automaton intersection would beat
-    the scan at huge vocabularies."""
+    ``transpositions``, the ES ``fuzziness`` default): two vectorized
+    prefilters, then the DP on the small survivor set. Both bound the
+    distance from below, since an edit changes a length or a character
+    count by at most one and a transposition changes neither: the
+    length difference, and the bag distance (the larger of the
+    character counts one string has and the other lacks). An automaton
+    intersection would beat the scan at huge vocabularies."""
     lens = pc.utf8_length(terms)
     m = pc.and_(pc.and_(pc.greater_equal(lens, len(term) - max_edits),
                         pc.less_equal(lens, len(term) + max_edits)),
                 _content(terms))
     keep = np.array(m, dtype=bool)
     cand = np.flatnonzero(keep)
+    sub = terms.take(cand)
+    lacks = np.zeros(cand.size, np.int64)   # query chars a term lacks
+    for ch in set(term):
+        have = pc.count_substring(sub, ch).to_numpy()
+        lacks += np.maximum(term.count(ch) - have, 0)
+    extra = lens.take(cand).to_numpy() - (len(term) - lacks)
+    near = np.maximum(lacks, extra) <= max_edits
+    keep[cand[~near]] = False
     pred = _damerau_leq if transpositions else _levenshtein_leq
-    for i, t in zip(cand, terms.take(cand).to_pylist()):
+    for i, t in zip(cand[near], sub.filter(pa.array(near)).to_pylist()):
         keep[i] = pred(term, t, max_edits)
     return pa.array(keep)
 
 
 def _gather(refs: dict) -> dict:
-    """Wait for a wave of shard calls: {key: ObjectRef} -> {key:
-    result}, in one ``ray.get``."""
-    return dict(zip(refs, ray.get(list(refs.values()))))
+    """Wait for a wave of shard calls: {key: ObjectRef or Future} ->
+    {key: result}, with one ``ray.get`` for the refs. A federated wave
+    can mix both, since its members may serve in different modes."""
+    keys = [k for k, r in refs.items() if isinstance(r, ray.ObjectRef)]
+    got = dict(zip(keys, ray.get([refs[k] for k in keys]))) if keys else {}
+    return {k: got[k] if k in got else r.result() for k, r in refs.items()}
 
 
-# shard pool sizing: an IndexShard process costs ~195 MB of RSS while
-# holding 0.7 MB of segments (4 shards over an 8k-doc index), so a
-# default engine starts one process per SHARD_SEGMENT_BYTES of segments
-# instead of a fixed count — sized by bytes, as Elasticsearch sizes its
-# shards. Why 4 MiB and not 16: each shard prewarms its own top
-# prewarm_hot_terms terms, so fewer shards prewarm fewer terms; on a
-# 40k-doc index (15.6 MB of segments) one shard prewarmed 18 of the 36
-# terms of a 17-template hot mix against 33 for four, and its first pass
-# over the templates took 135-207 ms against 62-108 ms
+# shard count: one shard per SHARD_SEGMENT_BYTES of segments, at least
+# one and at most MAX_SHARDS — sized by bytes, as Elasticsearch sizes
+# its shards; an index served by actors (above LOCAL_SEGMENT_BYTES) so
+# always gets MAX_SHARDS of them. Why 4 MiB and not 16: each shard
+# prewarms its own top prewarm_hot_terms terms, so fewer shards
+# prewarm fewer terms; on a 40k-doc index (15.6 MB of segments) one
+# shard prewarmed 18 of the 36 terms of a 17-template hot mix against 33
+# for four, and its first pass over the templates took 135-207 ms
+# against 62-108 ms. The same count and partition assignment hold in
+# process, so both modes prewarm the same terms
 SHARD_SEGMENT_BYTES = 4 << 20
 MAX_SHARDS = 4
+# an index of at most LOCAL_SEGMENT_BYTES of segments serves its shards
+# in process: the driver holds them and no IndexShard process starts,
+# which saves ~200 MB of RSS per shard and ~1 s of actor start per
+# engine open (8k docs, 2.9 MB of segments, 4 CPUs). The budget is the
+# measured crossover of the cold pass (open + wait_prewarm + one pass
+# of the 17 hot templates; 4 shards, 4 CPUs, two rounds of 3
+# alternating pairs per size, in process vs actors): 0.82-0.97 s vs
+# 1.41-2.13 s at 15.6 MB of segments (in process faster in 6/6 pairs),
+# 1.52-1.77 s vs 1.70-2.50 s at 30.9 MB (6/6), 2.10-2.51 s vs 2.22-2.86
+# s at 46.2 MB (5/6), and 2.42-3.27 s vs 2.58-2.91 s at 61.4 MB (1/6).
+# What turns it is wait_prewarm, which grows with the index and which
+# one process decodes at about half the speed of 4 (1.9-2.6 s vs
+# 1.1-1.4 s at 61.4 MB). Every size favours in process on open
+# (0.32-0.64 s vs 1.05-1.43 s at 61.4 MB), on the long-tail WAND p50
+# (9.0-9.9 ms vs 14.7-17.1 ms) and on total RSS (median driver 1.7 GB
+# vs 1.2 GB plus 1.5 GB of shard processes). The budget sits just above
+# the last size where in process won the cold pass; a larger index
+# keeps the actors, whose processes decode its prewarm set in parallel
+LOCAL_SEGMENT_BYTES = 48 << 20
 
 
-def shard_count(index_dir: str, num_partitions: int,
+def _segment_bytes(index_dir: str) -> int:
+    """On-disk bytes of the ``segments/part-*.parquet`` files: what the
+    shard count and the serving mode are sized by."""
+    seg = os.path.join(index_dir, "segments")
+    if not os.path.isdir(seg):
+        return 0
+    return sum(e.stat().st_size for e in os.scandir(seg)
+               if e.name.startswith("part-")
+               and e.name.endswith(".parquet"))
+
+
+def shard_count(segment_bytes: int, num_partitions: int,
                 num_shards: int | None = None) -> int:
-    """IndexShard processes for an engine over ``index_dir``: an explicit
-    ``num_shards`` (capped at the partition count), else
-    ``ceil(segment bytes / SHARD_SEGMENT_BYTES)`` clamped to
-    ``[1, min(MAX_SHARDS, num_partitions)]``, where segment bytes sums
-    the ``segments/part-*.parquet`` files."""
+    """Shards for an engine over ``segment_bytes`` of segments (see
+    ``_segment_bytes``): an explicit ``num_shards`` (capped at the
+    partition count), else ``ceil(segment_bytes / SHARD_SEGMENT_BYTES)``
+    clamped to ``[1, min(MAX_SHARDS, num_partitions)]``."""
     if num_shards:
         return min(num_shards, num_partitions)
-    seg = os.path.join(index_dir, "segments")
-    size = sum(e.stat().st_size for e in os.scandir(seg)
-               if e.name.startswith("part-")
-               and e.name.endswith(".parquet")) \
-        if os.path.isdir(seg) else 0
-    return max(1, min(-(-size // SHARD_SEGMENT_BYTES), MAX_SHARDS,
+    return max(1, min(-(-segment_bytes // SHARD_SEGMENT_BYTES), MAX_SHARDS,
                       num_partitions))
 
 
@@ -275,31 +315,7 @@ def _string_buffers(col: pa.Array) -> tuple[memoryview, memoryview]:
     return offs, memoryview(data if data is not None else b"").cast("B")
 
 
-@ray.remote(num_cpus=0, max_concurrency=4, max_restarts=2,
-            max_task_retries=2, concurrency_groups={"prewarm": 2})
 class IndexShard:
-    # max_restarts/max_task_retries: shards are pure readers of immutable
-    # segment files (constructor args are plain strings, reloadable from
-    # disk), so a died shard process restarts and replays transparently.
-    # num_cpus=0: shards are long-lived MEMORY-holders serving short
-    # decode bursts — reserving scheduler CPU for them accumulates
-    # across cached engines (a long session holds dozens of shard
-    # actors) until transient dataset tasks and NEW shard actors can no
-    # longer schedule at all on a small cluster (measured: a 4-CPU test
-    # session wedged with 23 shards x 0.1 CPU + one 1-CPU pool worker
-    # reserved). Their decode work is thread-side numpy that the
-    # scheduler cannot meter anyway; placement at target scale is by
-    # memory, not CPU. max_concurrency=4: every method is read-only
-    # after __init__ (tables + term_index are immutable), so a threaded
-    # actor lets an on-demand decode_term run (numpy decode releases the
-    # GIL for its vectorized passes). concurrency_groups: the engine
-    # sends its speculative prewarm decodes through the 2-thread
-    # "prewarm" group, so on-demand calls keep the default group's 4
-    # threads and never queue behind that backlog (measured on a 4-CPU
-    # host with a threaded actor: a call behind 40 queued 50 ms calls
-    # returned in ~506 ms in one group, in 1.3-2.0 ms with the backlog in
-    # its own group) — which matters most when one shard serves a small
-    # index.
     """Owns the segment files of a set of term partitions.
 
     Reads: posting rows by term (``get_terms``), document frequencies
@@ -307,7 +323,9 @@ class IndexShard:
     ``decode_raw`` raw tf + dl), and ONE dictionary scan,
     ``scan_terms`` (a predicate, a sort order and a limit), behind every
     expansion and term listing. The driver reaches a shard only through
-    ``SearchEngine``'s round helpers.
+    ``SearchEngine``'s round helpers. A plain class: an engine over a
+    small index holds its shards in process, a larger one runs each as
+    an ``_IndexShardActor`` process.
 
     ``max_resident_bytes`` — bounded-memory serving mode (the 100-TB
     story: total segment bytes across an index can exceed any one
@@ -347,10 +365,11 @@ class IndexShard:
         self.max_resident = max_resident_bytes
         import threading
 
-        # the actor is threaded (max_concurrency=4): LRU bookkeeping
-        # AND the ParquetFile row-group reads (not documented
-        # thread-safe) serialize under this lock; the resident fast
-        # path is one dict get + list move
+        # calls run on several threads (the actor's max_concurrency, or
+        # the engine's executors in process): LRU bookkeeping AND the
+        # ParquetFile row-group reads (not documented thread-safe)
+        # serialize under this lock; the resident fast path is one dict
+        # get + list move
         self._rg_lock = threading.Lock()
         self._files: list = []          # pq.ParquetFile per table
         self._rg_offsets: list = []     # per table: row offset of each RG
@@ -490,9 +509,9 @@ class IndexShard:
                 "n_terms": self.n_terms()}
 
     def get_terms(self, terms: list[str]) -> pa.Table | None:
-        """Requested terms' segment rows as ONE Arrow table (Ray ships
-        Arrow tables via pickle-5 out-of-band buffers — no per-value
-        pickling of the posting streams)."""
+        """Requested terms' segment rows as ONE Arrow table (from an
+        actor, Ray ships it via pickle-5 out-of-band buffers — no
+        per-value pickling of the posting streams)."""
         locs = [loc for t in terms
                 if (loc := self._lookup(t)) is not None]
         return self._full_rows(locs)
@@ -569,11 +588,11 @@ class IndexShard:
                     avgdl: float, idf_override: float | None = None):
         """Shard-side TAAT decode: (df, doc_ids, idf*tf_norm) for one
         term, or None. Decoding runs where the compressed row lives, in
-        parallel across the shards owning a query's terms, and the
-        result arrays come back zero-copy through the object store —
-        the driver never decodes hot posting lists serially. The float
-        expression tree matches bm25_tf_norm exactly (elementwise IEEE
-        ops ≡ the scalar oracle bit-for-bit).
+        parallel across the shards owning a query's terms (on the
+        engine's threads in process, zero-copy through the object store
+        from an actor) — the driver never decodes hot posting lists
+        serially. The float expression tree matches bm25_tf_norm
+        exactly (elementwise IEEE ops ≡ the scalar oracle bit-for-bit).
 
         ``idf_override`` substitutes a caller-computed idf for the
         local-df one — federated search passes the GLOBAL idf so the
@@ -624,16 +643,72 @@ class IndexShard:
         """Shard-side (df, doc_ids, tf, dl) decode for one term, or
         None — the formula-agnostic cousin of ``decode_term`` for
         scorers whose per-term weight is NOT BM25 (sparse-vector /
-        combined-fields queries): raw term frequencies come back
-        zero-copy through the object store and the caller applies its
-        own weight expression, so one posting format serves every
-        scoring model without re-decoding on the driver."""
+        combined-fields queries): raw term frequencies come back (from
+        an actor, zero-copy through the object store) and the caller
+        applies its own weight expression, so one posting format serves
+        every scoring model without re-decoding on the driver."""
         tp = self._postings(term)
         if tp is None:
             return None
         ids, tfs, dls = tp.decode_all()
         return (int(tp.df), ids, tfs.astype(np.float64),
                 dls.astype(np.float64))
+
+
+# max_restarts/max_task_retries: shards are pure readers of immutable
+# segment files (constructor args are plain strings, reloadable from
+# disk), so a died shard process restarts and replays transparently.
+# num_cpus=0: shards are long-lived MEMORY-holders serving short decode
+# bursts — reserving scheduler CPU for them accumulates across cached
+# engines (a long session holds dozens of shard actors) until transient
+# dataset tasks and NEW shard actors can no longer schedule at all on a
+# small cluster (measured: a 4-CPU test session wedged with 23 shards x
+# 0.1 CPU + one 1-CPU pool worker reserved). Their decode work is
+# thread-side numpy that the scheduler cannot meter anyway; placement
+# at target scale is by memory, not CPU. max_concurrency=4: every
+# method is read-only after __init__ (tables + term_index are
+# immutable), so a threaded actor lets an on-demand decode_term run
+# (numpy decode releases the GIL for its vectorized passes).
+# concurrency_groups: the engine sends its speculative prewarm decodes
+# through the 2-thread "prewarm" group, so on-demand calls keep the
+# default group's 4 threads and never queue behind that backlog
+# (measured on a 4-CPU host with a threaded actor: a call behind 40
+# queued 50 ms calls returned in ~506 ms in one group, in 1.3-2.0 ms
+# with the backlog in its own group) — which matters most when one
+# shard serves a small index. The actor keeps the class name, so the
+# GCS lists it as IndexShard.
+_IndexShardActor = ray.remote(
+    num_cpus=0, max_concurrency=4, max_restarts=2, max_task_retries=2,
+    concurrency_groups={"prewarm": 2})(IndexShard)
+
+
+class _LocalMethod:
+    """``handle.method`` of an in-process shard: ``.remote(*args)`` runs
+    the method now and returns its result as an ObjectRef, the call
+    form of an actor method; ``.options(...)`` changes nothing."""
+
+    def __init__(self, fn):
+        self._fn = fn
+
+    def remote(self, *args):
+        return ray.put(self._fn(*args))
+
+    def options(self, **_):
+        return self
+
+
+class _LocalShardHandle:
+    """What ``SearchEngine.shards`` lists for an in-process shard: the
+    actor-handle call form (``ray.get(h.method.remote(...))``) for
+    callers outside the engine. The engine calls the shard itself."""
+
+    def __init__(self, shard: IndexShard):
+        self._shard = shard
+
+    def __getattr__(self, name):
+        if name.startswith("_"):
+            raise AttributeError(name)
+        return _LocalMethod(getattr(self._shard, name))
 
 
 def top_k(ids: np.ndarray, scores: np.ndarray, k: int
@@ -661,7 +736,7 @@ def top_k(ids: np.ndarray, scores: np.ndarray, k: int
 
 
 class SearchEngine:
-    """Driver-side query coordinator over an IndexShard actor pool.
+    """Driver-side query coordinator over a pool of IndexShards.
 
     Two exact, rank-identical execution strategies (equivalence is unit
     tested):
@@ -677,23 +752,35 @@ class SearchEngine:
     - **Block-max WAND** (the 10^12-doc scale path): doc-at-a-time with
       skip/block-max pruning; no N-sized state.
 
-    Every remote call to the shards goes through one of three round
-    helpers, each one wave and one ``ray.get``: ``_broadcast`` (one call
-    per shard: warmup, hot_terms, cache_stats, n_terms, dict_caps and
-    the ``_scan`` dictionary scan), ``_grouped`` (one call per shard
-    owning some of the terms: ``get_terms``, ``term_dfs``) and
-    ``_term_refs`` + ``_gather`` (one call per term on its owner:
-    ``decode_term``, ``decode_raw``; ``_ensure_contribs`` takes over a
-    prewarm decode still in flight instead of sending it again).
+    Where the shards live follows the index: at most
+    ``LOCAL_SEGMENT_BYTES`` (48 MiB) of on-disk segments are served in
+    process — the driver holds the IndexShard objects and no shard
+    process starts — and a larger index runs each shard as an actor
+    process. Results are bit-identical in both modes.
 
-    ``num_shards`` — IndexShard processes to start. Left unset, the pool
-    is sized to the index (``shard_count``): one process per
+    Every call to the shards goes through one of three round helpers,
+    each one wave: ``_broadcast`` (one call per shard: warmup,
+    hot_terms, cache_stats, n_terms, dict_caps and the ``_scan``
+    dictionary scan), ``_grouped`` (one call per shard owning some of
+    the terms: ``get_terms``, ``term_dfs``) and ``_term_refs`` +
+    ``_gather`` (one call per term on its owner: ``decode_term``,
+    ``decode_raw``; ``_ensure_contribs`` takes over a prewarm decode
+    still in flight instead of sending it again). In process the first
+    two call one shard on the caller's thread and several in parallel
+    on the engine's on-demand thread pool, and ``_term_refs`` submits to
+    the engine's thread pools; with actors each round is one
+    ``ray.get``.
+
+    ``num_shards`` — shards to split the partitions over. Left unset,
+    the count is sized to the index (``shard_count``): one shard per
     ``SHARD_SEGMENT_BYTES`` (4 MiB) of on-disk segments, at least one
-    and at most ``min(MAX_SHARDS, num_partitions)`` — one process for a
-    small index, since a shard actor costs ~195 MB of RSS however few
-    segment bytes it holds. A given ``num_shards`` is used as is (capped
-    at the partition count). Results are bit-identical for every shard
-    count.
+    and at most ``min(MAX_SHARDS, num_partitions)``. A given
+    ``num_shards`` is used as is (capped at the partition count).
+    Results are bit-identical for every shard count.
+
+    ``shards`` / ``part_to_shard`` list handles in both modes:
+    ``ray.get(h.method.remote(*args))`` calls ``IndexShard.method`` on
+    that shard (the engine itself never goes through them).
     """
 
     def __init__(self, index_dir: str, num_shards: int | None = None,
@@ -720,7 +807,8 @@ class SearchEngine:
         # list fits a sane per-term budget; hotter terms (df beyond
         # this) always go through selective block decode — see search()
         self._WAND_CACHE_MAX_DF = 5_000_000
-        n_shards = shard_count(index_dir, self.P, num_shards)
+        seg_bytes = _segment_bytes(index_dir)
+        n_shards = shard_count(seg_bytes, self.P, num_shards)
         # round-robin parts over shards
         assignment: list[list[int]] = [[] for _ in range(n_shards)]
         for p in range(self.P):
@@ -730,14 +818,40 @@ class SearchEngine:
         per_shard_cap = (None if max_resident_bytes is None
                          else max(1, max_resident_bytes // n_shards))
         self.max_resident_bytes = max_resident_bytes
-        self.shards = [IndexShard.remote(index_dir, parts,
-                                         per_shard_cap)
-                       for parts in assignment]
+        self._local = seg_bytes <= LOCAL_SEGMENT_BYTES
+        if self._local:
+            # in process, the executors stand in for the actor's
+            # threads: on-demand calls get their own pool, so they never
+            # queue behind the prewarm backlog (the actor's "prewarm"
+            # concurrency group). One actor's counts, not n actors':
+            # the threads share one GIL, and pools of 4n/2n made
+            # wait_prewarm slower (2 shards, 16k docs: 0.20-0.26 s vs
+            # 0.17-0.24 s, 6/6 pairs; 4 shards, 40k docs: median 0.80
+            # vs 0.64 s; 4 CPUs)
+            from concurrent.futures import ThreadPoolExecutor
+
+            self._pools = {
+                None: ThreadPoolExecutor(
+                    max_workers=4, thread_name_prefix="IndexShard-call"),
+                "prewarm": ThreadPoolExecutor(
+                    max_workers=2, thread_name_prefix="IndexShard-prewarm")}
+            # the parquet reads release the GIL: load the shards at once
+            self._shard_objs = list(self._pools[None].map(
+                lambda parts: IndexShard(index_dir, parts, per_shard_cap),
+                assignment))
+            self.shards = [_LocalShardHandle(s) for s in self._shard_objs]
+        else:
+            self._pools = {}
+            self.shards = [_IndexShardActor.remote(index_dir, parts,
+                                                   per_shard_cap)
+                           for parts in assignment]
+            self._shard_objs = self.shards
+            # overlap segment loads across shards AND warm each worker's
+            # Arrow serialization path before the first query (see
+            # IndexShard.warmup)
+            self._broadcast("warmup")
         self.part_to_shard = {p: self.shards[p % n_shards]
                               for p in range(self.P)}
-        # overlap segment loads across shards AND warm each worker's Arrow
-        # serialization path before the first query (see IndexShard.warmup)
-        self._broadcast("warmup")
         docmap = os.path.join(index_dir, "docmap")
         if not os.path.isdir(docmap):  # older index layout
             docmap = os.path.join(index_dir, "docs")
@@ -786,7 +900,7 @@ class SearchEngine:
         self._request_cache: dict = {}
         self._request_cache_gen = 0
         # speculative prewarm: kick off shard-side decodes of each
-        # shard's Zipf-head terms NOW (results wait in the object store,
+        # shard's Zipf-head terms NOW (results wait as pending calls,
         # materialized on first use) — first queries for hot terms find
         # their decode already done/overlapped instead of paying it
         self._pending: dict = {}
@@ -808,11 +922,19 @@ class SearchEngine:
             else {}
 
     def shutdown(self) -> None:
-        """Kill the shard actors and drop every handle to them and to
-        their pending prewarm results; a second call does nothing."""
-        for s in self.shards:
-            ray.kill(s)
+        """Release the shards: kill the shard actors, or cancel the
+        pending in-process calls and stop the thread pools, then drop
+        every shard, handle and pending prewarm result; a second call
+        does nothing."""
+        if self._local:
+            for pool in self._pools.values():
+                pool.shutdown(cancel_futures=True)
+            self._pools = {}
+        else:
+            for s in self.shards:
+                ray.kill(s)
         self.shards = []
+        self._shard_objs = []
         self.part_to_shard = {}
         self._pending.clear()
         if self._score_pool is not None:
@@ -893,40 +1015,59 @@ class SearchEngine:
             return ids
         return ids[~np.isin(ids, t, assume_unique=False)]
 
-    # -- shard rounds: every remote call to the IndexShard pool -----------
+    # -- shard rounds: every call to the shards --------------------------
 
     def _broadcast(self, method: str, *args) -> list:
         """``IndexShard.method(*args)`` on every shard, in one round: the
         results in shard order."""
-        return ray.get([getattr(s, method).remote(*args)
-                        for s in self.shards])
+        return self._round([(getattr(s, method), args)
+                            for s in self._shard_objs])
 
     def _grouped(self, method: str, terms: list[str]) -> list:
         """``IndexShard.method(its_terms)`` once per shard owning any of
-        ``terms`` (one RPC per shard, however many terms), in one round:
-        the per-shard results."""
+        ``terms`` (one call per shard, however many terms), in one
+        round: the per-shard results."""
         by_shard: dict = {}
         for t in terms:
             by_shard.setdefault(self._owner(t), []).append(t)
-        return ray.get([getattr(s, method).remote(ts)
-                        for s, ts in by_shard.items()])
+        return self._round([(getattr(s, method), (ts,))
+                            for s, ts in by_shard.items()])
+
+    def _round(self, calls: list) -> list:
+        """Run ``[(shard method, args)]`` as one wave: the results in
+        order. In process one call runs on the caller's thread and
+        several run on the on-demand pool, one per shard, as the actors
+        run them in parallel; with actors, one ``ray.get``."""
+        if not self._local:
+            return ray.get([fn.remote(*a) for fn, a in calls])
+        if len(calls) == 1:
+            fn, a = calls[0]
+            return [fn(*a)]
+        futs = [self._pools[None].submit(fn, *a) for fn, a in calls]
+        return [f.result() for f in futs]
 
     def _term_refs(self, method: str, args: dict[str, tuple],
                    group: str | None = None) -> dict:
         """``IndexShard.method(term, *args[term])`` once per term on the
         shard owning it, sent as one wave and not waited for: {term:
-        ObjectRef}; ``_gather`` waits. ``group`` runs the calls in that
-        shard concurrency group."""
+        Future in process, else ObjectRef}; ``_gather`` waits. ``group``
+        runs the calls in that shard concurrency group (in process: that
+        thread pool)."""
         refs = {}
         for t, a in args.items():
             fn = getattr(self._owner(t), method)
+            if self._local:
+                refs[t] = self._pools[group].submit(fn, t, *a)
+                continue
             if group:
                 fn = fn.options(concurrency_group=group)
             refs[t] = fn.remote(t, *a)
         return refs
 
     def _owner(self, term: str):
-        return self.part_to_shard[term_partition(term, self.P)]
+        """The shard (object in process, else actor) owning ``term``."""
+        return self._shard_objs[term_partition(term, self.P)
+                                % len(self._shard_objs)]
 
     def _scan(self, match, order: str, limit: int) -> pa.Table:
         """One ``IndexShard.scan_terms`` round over every shard, merged:
@@ -1018,9 +1159,8 @@ class SearchEngine:
         """Populate the decoded-contribution cache for ``terms`` with ONE
         parallel round of shard-side decodes (IndexShard.decode_term):
         hot posting lists are decoded where they live, concurrently
-        across the shards owning the query's terms, and the (ids,
-        contrib) arrays return zero-copy through the object store — the
-        driver never serially decodes a df~N list."""
+        across the shards owning the query's terms — the driver never
+        serially decodes a df~N list."""
         missing = [t for t in dict.fromkeys(terms)
                    if t not in self._contrib_cache
                    and t not in self._absent_terms]
@@ -2259,7 +2399,7 @@ class SearchEngine:
         ltc-style expansion weight — so the score is the dot product
         sum_t w_q(t) * w_d(t, d). No doc store is touched: raw tf
         decodes shard-side (IndexShard.decode_raw) in one parallel
-        round and only (ids, tf) arrays cross the object store.
+        round and only (ids, tf) arrays come back.
 
         Query keys run through the analyzer; keys that don't normalize
         to exactly one indexed-form token are rejected (a weight must

@@ -50,6 +50,17 @@ def oracle(small_index):
     return BM25Oracle(pairs, attrs, cfg)
 
 
+def actor_engine(index_dir: str, **kw):
+    """A SearchEngine over ``index_dir`` whose shards run as actor
+    processes, however small the index (``LOCAL_SEGMENT_BYTES`` is
+    patched only while the engine opens, where the mode is chosen)."""
+    from logsentinelai_ray.query import shards
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(shards, "LOCAL_SEGMENT_BYTES", -1)
+        return shards.SearchEngine(index_dir, **kw)
+
+
 @pytest.fixture(scope="session")
 def engine(small_index):
     from logsentinelai_ray.query.shards import SearchEngine

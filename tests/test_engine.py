@@ -648,17 +648,21 @@ def test_row_group_split_build_identical(ray_session, tmp_path_factory):
     assert dm["one"] == dm["many"]
 
 
-def test_shard_death_recovers(ray_session, small_index):
+def test_shard_death_recovers(ray_session, small_index, monkeypatch):
     """IndexShard actors are restartable pure readers: kill one shard's
     process mid-session; subsequent queries must succeed with identical
-    results (Ray restarts the actor, which reloads its segments)."""
+    results (Ray restarts the actor, which reloads its segments). The
+    small index would serve in process, so the test forces actors."""
     import ray as _ray
 
+    from logsentinelai_ray.query import shards
     from logsentinelai_ray.query.shards import SearchEngine
 
     idx_dir, cfg = small_index
+    monkeypatch.setattr(shards, "LOCAL_SEGMENT_BYTES", -1)
     eng = SearchEngine(idx_dir, num_shards=3)
     try:
+        assert not eng._local
         before = eng.search("error merge window", k=10,
                             with_meta=False).to_pydict()
         # kill the shard processes hard (no_restart=False → Ray restarts)

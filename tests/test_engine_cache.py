@@ -1,7 +1,9 @@
 """The registry's fixture-engine cache (pipelines/queries.py
 ``_ENGINE_CACHE``) is a bounded LRU that shuts down what it evicts, so
 running the index-backed entries one after another holds a fixed number
-of IndexShard actors instead of one pool per entry."""
+of IndexShard actors instead of one pool per entry. (The registry's
+indexes are small enough to serve in process, so the actor-count test
+forces actor shards.)"""
 
 import time
 
@@ -61,9 +63,12 @@ def _settled(ceiling: int) -> int:
     return n
 
 
-def test_index_backed_entries_hold_bounded_actors(ray_session):
+def test_index_backed_entries_hold_bounded_actors(ray_session, monkeypatch):
     from logsentinelai_ray.pipelines import QUERY_REGISTRY
     from logsentinelai_ray.pipelines.queries import _ENGINE_CACHE
+    from logsentinelai_ray.query import shards
+
+    monkeypatch.setattr(shards, "LOCAL_SEGMENT_BYTES", -1)
 
     for key in list(_ENGINE_CACHE):        # start from an empty cache
         engine = _ENGINE_CACHE.pop(key)

@@ -51,6 +51,51 @@ def test_federated_equals_merged(engine, halves):
             m.shutdown()
 
 
+def test_gather_mixes_futures_and_refs(ray_session):
+    """``_gather`` resolves a wave that mixes in-process Futures with
+    actor ObjectRefs, keeping the keys' order."""
+    from concurrent.futures import Future
+
+    import ray
+
+    from logsentinelai_ray.query.shards import _gather
+
+    done = Future()
+    done.set_result(("local", 1))
+    got = _gather({"b": ray.put(("remote", 2)), "a": done,
+                   "c": ray.put(None)})
+    assert list(got.items()) == [("b", ("remote", 2)), ("a", ("local", 1)),
+                                 ("c", None)]
+    assert _gather({}) == {}
+
+
+def test_federated_mixed_modes_equal_merged(engine, halves):
+    """One member with in-process shards and one with actor shards: the
+    decode wave gathers Futures and ObjectRefs together, and TAAT and
+    WAND rank bit-identically to the merged index."""
+    from logsentinelai_ray.query.federated import FederatedSearch
+    from logsentinelai_ray.query.shards import SearchEngine
+    from tests.conftest import actor_engine
+
+    members = [SearchEngine(halves[0], num_shards=2),
+               actor_engine(halves[1], num_shards=2)]
+    try:
+        assert [m._local for m in members] == [True, False]
+        fed = FederatedSearch(members)
+        for text in ("authentication failure", "error",
+                     "select union passwd", "import the error timeout"):
+            for strategy in ("taat", "wand"):
+                a = fed.search(text, k=15, strategy=strategy)
+                b = engine.search(text, k=15, with_meta=False,
+                                  strategy=strategy)
+                assert a.num_rows > 0
+                assert a["doc_id"].to_pylist() == b["doc_id"].to_pylist()
+                assert a["score"].to_pylist() == b["score"].to_pylist()
+    finally:
+        for m in members:
+            m.shutdown()
+
+
 def test_federated_rejects_mismatched_members(halves, ray_session):
     from logsentinelai_ray.query.federated import FederatedSearch
     from logsentinelai_ray.query.shards import SearchEngine

@@ -101,6 +101,32 @@ def test_expand_fuzzy_matches_reference_dp(engine, vocab_df):
         assert got == want, (probe, k)
 
 
+def test_fuzzy_prefilters_keep_every_match():
+    """The length and bag-distance prefilters of ``_match_fuzzy`` drop
+    no term the edit-distance DP alone keeps: anagrams (bag distance 0,
+    edit distance > 1), repeated and non-ASCII characters, field terms,
+    with and without transpositions."""
+    import pyarrow as pa
+
+    from logsentinelai_ray.query.shards import (_damerau_leq,
+                                                _levenshtein_leq,
+                                                _match_fuzzy)
+
+    vocab = ["error", "eror", "errror", "rorre", "oerrr", "terror", "err",
+             "erorr", "reorr", "mirror", "failure", "fialure", "faliure",
+             "ünïcode", "unicode", "ünicöde", "aab", "aba", "baa", "ab",
+             "lang:error", "a", "", "eeee", "passwd", "paswd", "psaswd"]
+    terms = pa.chunked_array([vocab])
+    dfs = pa.chunked_array([[1] * len(vocab)], pa.int64())
+    for probe in ("error", "failure", "ünïcode", "aab", "passwd", "e"):
+        for k in (0, 1, 2):
+            for tr in (False, True):
+                pred = _damerau_leq if tr else _levenshtein_leq
+                want = [":" not in t and pred(probe, t, k) for t in vocab]
+                got = _match_fuzzy(probe, k, tr, terms, dfs).to_pylist()
+                assert got == want, (probe, k, tr)
+
+
 def test_fuzzy_search_equals_explicit_disjunction(engine, vocab_df):
     probe = sorted(vocab_df)[0]
     exp = engine.expand_fuzzy(probe, max_edits=2, max_expansions=10 ** 6)

@@ -9,7 +9,9 @@ k=3 (the partition top-k runs whenever a surface has >12 candidates)
 and once with k=10_000 (the full sort), plus a set of calls on a
 tombstoned copy of the index. A second set pins the dictionary
 scans, the metadata rounds, the prewarm hot-term set and the
-positional verify surfaces (each plan, several verify chunks).
+positional verify surfaces (each plan, several verify chunks). Every
+digest is checked twice: with the shards in process (the fixture index
+is small) and as actor processes.
 
 To re-derive the digests for a given checkout, run this file as a
 script: ``python tests/test_query_identity.py out.json``."""
@@ -490,16 +492,19 @@ TOMB_CALLS = ("search", "msearch", "search_fields", "collapse",
               "dsl_match", "dsl_bool", "dsl_from")
 
 
-def surface_digests(idx_dir: str, work_dir: str) -> dict[str, str]:
+def surface_digests(idx_dir: str, work_dir: str,
+                    open_engine=None) -> dict[str, str]:
     """Digest of every surface's rows on ``idx_dir`` and on a copy of it
-    with every 7th doc tombstoned (ids 0, 7, 14, ...)."""
+    with every 7th doc tombstoned (ids 0, 7, 14, ...); engines come from
+    ``open_engine(index_dir, **kw)`` (default ``SearchEngine``)."""
     import numpy as np
 
     from logsentinelai_ray.index.delete import delete_docs
     from logsentinelai_ray.query.shards import SearchEngine
 
+    open_engine = open_engine or SearchEngine
     out: dict[str, str] = {}
-    eng = SearchEngine(idx_dir, num_shards=2)
+    eng = open_engine(idx_dir, num_shards=2)
     try:
         # the prewarm set, before any query consumes it
         out["prewarm"] = _digest([(t,) for t in sorted(eng._pending)])
@@ -517,7 +522,7 @@ def surface_digests(idx_dir: str, work_dir: str) -> dict[str, str]:
     with open(os.path.join(tomb, "stats.json")) as f:
         n = int(json.load(f)["n_docs"])
     delete_docs(tomb, np.arange(0, n, 7, dtype=np.int64))
-    eng = SearchEngine(tomb, num_shards=2)
+    eng = open_engine(tomb, num_shards=2)
     try:
         for k in KS:
             calls = _surfaces(eng, k)
@@ -528,14 +533,25 @@ def surface_digests(idx_dir: str, work_dir: str) -> dict[str, str]:
     return out
 
 
-def test_query_surfaces_bit_identical(small_index, tmp_path):
-    idx_dir, _ = small_index
-    got = surface_digests(idx_dir, str(tmp_path))
+def _check_digests(got: dict[str, str]) -> None:
     want = {**PINNED, **PINNED_ROUNDS}
     assert sorted(got) == sorted(want)
     diff = {name: (got[name], want[name]) for name in want
             if got[name] != want[name]}
     assert not diff, diff
+
+
+def test_query_surfaces_bit_identical(small_index, tmp_path):
+    idx_dir, _ = small_index
+    _check_digests(surface_digests(idx_dir, str(tmp_path)))
+
+
+def test_query_surfaces_bit_identical_actor_shards(small_index, tmp_path):
+    from tests.conftest import actor_engine
+
+    idx_dir, _ = small_index
+    _check_digests(surface_digests(idx_dir, str(tmp_path),
+                                   open_engine=actor_engine))
 
 
 if __name__ == "__main__":

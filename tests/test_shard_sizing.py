@@ -1,20 +1,30 @@
 """Shard-pool sizing (query/shards.py ``shard_count``): a default engine
-starts one IndexShard process per SHARD_SEGMENT_BYTES of segments. Every
-query path must give bit-identical results for the default and for any
-explicit shard count — the count only moves where postings live."""
+splits its partitions over one shard per SHARD_SEGMENT_BYTES of
+segments, held in process up to LOCAL_SEGMENT_BYTES and as actor
+processes above. Every query path must give bit-identical results for
+the default and for any explicit shard count, in both modes — the count
+and the mode only move where postings live."""
 
+import gc
 import os
+import threading
+import weakref
 
 import numpy as np
 import pytest
 import ray
 
 from logsentinelai_ray.index.build import term_partition
-from logsentinelai_ray.query.shards import (MAX_SHARDS, SHARD_SEGMENT_BYTES,
-                                            SearchEngine, shard_count)
-from tests.conftest import QUERY_SET
+from logsentinelai_ray.query import shards
+from logsentinelai_ray.query.shards import (LOCAL_SEGMENT_BYTES, MAX_SHARDS,
+                                            SHARD_SEGMENT_BYTES, SearchEngine,
+                                            _segment_bytes, shard_count)
+from tests.conftest import QUERY_SET, actor_engine
 
 SHARD_COUNTS = [None, 1, 2, 4]
+# (actor processes?, shard count); the in-process cases keep the ids
+# they had when every engine ran actors
+MODES = [(False, n) for n in SHARD_COUNTS] + [(True, n) for n in SHARD_COUNTS]
 FILTERS = [None, {"lang": "python"}, {"repo": "org1/repo1"},
            {"lang": "no_such_lang"}]
 
@@ -35,11 +45,12 @@ def _segments(tmp_path, sizes: dict) -> str:
 
 
 def test_shard_count_tiny_index_is_one_shard(tmp_path, small_index):
-    assert shard_count(str(tmp_path), 8) == 1          # no segments dir
-    assert shard_count(_segments(tmp_path, {"part-0000.parquet": 1024}),
-                       8) == 1
+    assert _segment_bytes(str(tmp_path)) == 0          # no segments dir
+    assert shard_count(_segment_bytes(str(tmp_path)), 8) == 1
+    assert shard_count(_segment_bytes(
+        _segments(tmp_path, {"part-0000.parquet": 1024})), 8) == 1
     idx_dir, cfg = small_index
-    assert shard_count(idx_dir, cfg.num_partitions) == 1
+    assert shard_count(_segment_bytes(idx_dir), cfg.num_partitions) == 1
 
 
 @pytest.mark.parametrize("total,parts,want", [
@@ -55,11 +66,13 @@ def test_shard_count_by_segment_bytes(tmp_path, total, parts, want):
     sizes["part-0000.parquet"] += total % parts
     sizes["_SUCCESS"] = 50 * SHARD_SEGMENT_BYTES
     sizes["stats-0000.json"] = 50 * SHARD_SEGMENT_BYTES
-    assert shard_count(_segments(tmp_path, sizes), parts) == want
+    seg_bytes = _segment_bytes(_segments(tmp_path, sizes))
+    assert seg_bytes == total
+    assert shard_count(seg_bytes, parts) == want
 
 
 def test_shard_count_explicit_wins(tmp_path):
-    tiny = _segments(tmp_path, {"part-0000.parquet": 10})
+    tiny = _segment_bytes(_segments(tmp_path, {"part-0000.parquet": 10}))
     assert shard_count(tiny, 8, num_shards=3) == 3
     assert shard_count(tiny, 8, num_shards=16) == 8    # capped at P
 
@@ -68,7 +81,8 @@ def test_default_engine_follows_the_rule(small_index):
     idx_dir, cfg = small_index
     eng = SearchEngine(idx_dir, prewarm_hot_terms=0)
     try:
-        assert len(eng.shards) == shard_count(idx_dir, cfg.num_partitions)
+        assert len(eng.shards) == shard_count(_segment_bytes(idx_dir),
+                                              cfg.num_partitions)
         assert set(eng.part_to_shard) == set(range(cfg.num_partitions))
     finally:
         eng.shutdown()
@@ -77,11 +91,18 @@ def test_default_engine_follows_the_rule(small_index):
     assert eng._pending == {}
 
 
-@pytest.fixture(scope="module", params=SHARD_COUNTS,
-                ids=lambda n: f"shards={n or 'default'}")
+def _open(idx_dir: str, actors: bool, **kw) -> SearchEngine:
+    return (actor_engine if actors else SearchEngine)(idx_dir, **kw)
+
+
+@pytest.fixture(scope="module", params=MODES,
+                ids=lambda m: f"{'actor-' if m[0] else ''}"
+                              f"shards={m[1] or 'default'}")
 def sized_engine(request, small_index):
     idx_dir, _cfg = small_index
-    eng = SearchEngine(idx_dir, num_shards=request.param)
+    actors, n = request.param
+    eng = _open(idx_dir, actors, num_shards=n)
+    assert eng._local is not actors
     yield eng
     eng.shutdown()
 
@@ -126,8 +147,9 @@ def test_bounded_equals_unbounded_over_shard_counts(sized_engine,
     seg = os.path.join(idx_dir, "segments")
     cap = max(4096, sum(os.path.getsize(os.path.join(seg, f))
                         for f in os.listdir(seg)) // 8)
-    bounded = SearchEngine(idx_dir, num_shards=len(sized_engine.shards),
-                           prewarm_hot_terms=0, max_resident_bytes=cap)
+    bounded = _open(idx_dir, not sized_engine._local,
+                    num_shards=len(sized_engine.shards),
+                    prewarm_hot_terms=0, max_resident_bytes=cap)
     try:
         for query in QUERY_SET + ["zzz_nonexistent_term_q"]:
             for flt in FILTERS[:2]:
@@ -161,6 +183,137 @@ def test_prewarm_does_not_block_cold_query(small_index, oracle):
         assert got and got == oracle.search(text, k=10)
         assert eng.wait_prewarm() > 0
         assert _pairs(eng.search(text, k=10, with_meta=False)) == got
+    finally:
+        eng.shutdown()
+
+
+def _live_shard_actors() -> set:
+    """Ids of the live IndexShard actors in the GCS actor table."""
+    return {aid for aid, a in ray._private.state.actors().items()
+            if a["ActorClassName"] == "IndexShard"
+            and a["State"] != "DEAD"}
+
+
+def test_small_index_serves_in_process(small_index, oracle):
+    """A default engine over at most LOCAL_SEGMENT_BYTES of segments
+    holds its shards in the driver: it starts no IndexShard actor, and
+    after ``shutdown`` no pool thread runs and no shard object lives."""
+    idx_dir, _cfg = small_index
+    assert _segment_bytes(idx_dir) <= LOCAL_SEGMENT_BYTES
+    actors = _live_shard_actors()
+    threads = set(threading.enumerate())
+    eng = SearchEngine(idx_dir)
+    try:
+        assert eng._local
+        text = "authentication failure error"
+        assert _pairs(eng.search(text, k=10, with_meta=False)) == \
+            oracle.search(text, k=10)
+        assert eng.wait_prewarm() > 0
+        assert _live_shard_actors() <= actors
+        threads = [t for t in set(threading.enumerate()) - threads
+                   if t.name.startswith("IndexShard-")]
+        assert threads
+        shard = weakref.ref(eng._shard_objs[0])
+    finally:
+        eng.shutdown()
+    gc.collect()
+    assert not any(t.is_alive() for t in threads)
+    assert shard() is None
+
+
+def test_mode_follows_segment_bytes(small_index, monkeypatch):
+    """In process up to LOCAL_SEGMENT_BYTES of segments inclusive, one
+    IndexShard actor per shard above it."""
+    idx_dir, _cfg = small_index
+    seg_bytes = _segment_bytes(idx_dir)
+    monkeypatch.setattr(shards, "LOCAL_SEGMENT_BYTES", seg_bytes)
+    before = _live_shard_actors()
+    eng = SearchEngine(idx_dir, num_shards=2, prewarm_hot_terms=0)
+    try:
+        assert eng._local and len(eng.shards) == 2
+        assert _live_shard_actors() <= before
+    finally:
+        eng.shutdown()
+    monkeypatch.setattr(shards, "LOCAL_SEGMENT_BYTES", seg_bytes - 1)
+    eng = SearchEngine(idx_dir, num_shards=2, prewarm_hot_terms=0)
+    try:
+        assert not eng._local and len(eng.shards) == 2
+        assert len(_live_shard_actors() - before) == 2
+    finally:
+        eng.shutdown()
+
+
+def test_local_handles_answer_like_actors(small_index):
+    """``shards`` / ``part_to_shard`` keep the actor-handle call form in
+    process: ``ray.get(h.method.remote(...))``, with ``.options`` on a
+    method, answers exactly as the actor does."""
+    idx_dir, _cfg = small_index
+    local = SearchEngine(idx_dir, num_shards=2, prewarm_hot_terms=0)
+    actor = actor_engine(idx_dir, num_shards=2, prewarm_hot_terms=0)
+    try:
+        st = local.stats
+        bm25 = (st["n_docs"], st["k1"], st["b"], st["avgdl"])
+        for t in ("error", "lang:python", "zzz_nonexistent_term_q"):
+            p = term_partition(t, local.P)
+            a, b = local.part_to_shard[p], actor.part_to_shard[p]
+            assert ray.get(a.term_dfs.remote([t])) == \
+                ray.get(b.term_dfs.remote([t]))
+            ra = ray.get(a.get_terms.remote([t]))
+            rb = ray.get(b.get_terms.remote([t]))
+            assert (ra is None and rb is None) or \
+                ra.to_pylist() == rb.to_pylist()
+            da = ray.get(a.decode_term.options(
+                concurrency_group="prewarm").remote(t, *bm25))
+            db = ray.get(b.decode_term.remote(t, *bm25))
+            assert (da is None and db is None) or (
+                da[0] == db[0] and np.array_equal(da[1], db[1])
+                and np.array_equal(da[2], db[2]))
+    finally:
+        local.shutdown()
+        actor.shutdown()
+
+
+def test_in_process_shards_under_concurrent_calls(small_index):
+    """In process, both thread pools and the caller share each shard: 8
+    waves of decodes through a tiny byte-capped LRU at once, with the
+    switch interval shortened, give the serial results, and the LRU
+    ends consistent and within its cap."""
+    import concurrent.futures as cf
+    import sys
+
+    idx_dir, _cfg = small_index
+    cap = max(4096, _segment_bytes(idx_dir) // 8)
+    eng = SearchEngine(idx_dir, num_shards=2, prewarm_hot_terms=0,
+                       max_resident_bytes=cap)
+    try:
+        st = eng.stats
+        bm25 = (int(st["n_docs"]), st["k1"], st["b"], st["avgdl"])
+        terms = sorted({t for q in QUERY_SET for t in eng._toks(q)})
+        want = {t: eng._owner(t).decode_term(t, *bm25) for t in terms}
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            waves = [eng._term_refs("decode_term",
+                                    dict.fromkeys(terms, bm25), group=g)
+                     for g in (None, "prewarm") for _ in range(4)]
+            done, pending = cf.wait([f for w in waves for f in w.values()],
+                                    timeout=120)
+        finally:
+            sys.setswitchinterval(old)
+        assert not pending
+        for wave in waves:
+            for t, f in wave.items():
+                got, exp = f.result(), want[t]
+                assert (got is None) == (exp is None), t
+                if got is not None:
+                    assert got[0] == exp[0], t
+                    assert np.array_equal(got[1], exp[1]), t
+                    assert np.array_equal(got[2], exp[2]), t
+        for shard in eng._shard_objs:
+            assert shard._rg_bytes == sum(
+                t.nbytes for t in shard._rg_cache.values())
+            assert shard._rg_bytes <= shard.max_resident
+            assert sorted(shard._rg_lru) == sorted(shard._rg_cache)
     finally:
         eng.shutdown()
 
