@@ -20,7 +20,7 @@ reference's data-processing semantics as idiomatic Ray Data pipelines:
 - ``multimodal``   : opaque-binary column plumbing with stubbed decoders
 
 No module here calls ``ray.init``/``ray.shutdown``; sessions are owned by the
-driver, ``bench.py``, or the test fixture.
+driver, the benchmark (``perfbench/run.py``), or the test fixture.
 """
 
 import os as _os

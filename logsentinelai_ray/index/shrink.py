@@ -5,9 +5,10 @@ count because routing is ``hash(key) % P``: when P' divides P, every
 key's new shard is its old shard mod P' (the `_shrink` routing
 invariant). This engine routes terms with ``blake2b(term) % P``
 (index/build.py:85), so the same arithmetic holds: new segment part n
-is exactly the row-concatenation of source parts {s : s % P' == n} —
-terms are disjoint across source parts, so the merge never decodes or
-re-sorts a posting. The positions sidecar follows the identical
+is exactly the rows of source parts {s : s % P' == n}, sorted by term
+as every segment part is (readers binary-search the term column) —
+terms are disjoint across source parts, so the merge never decodes a
+posting. The positions sidecar follows the identical
 partition scheme and merges directory-wise (readers scan the whole
 ``part=N`` dir).
 
@@ -40,8 +41,8 @@ from . import manifest as mf
 def _merge_segment_parts(src_dir: str, dst_dir: str, new_part: int,
                          src_parts: list[int], fingerprint: str) -> int:
     """Concat the source parts owning ``new_part``'s terms into one new
-    segment part, written (with its manifest entry) by the build's
-    segment writer."""
+    segment part, term-sorted and written (with its manifest entry) by
+    the build's segment writer."""
     import pyarrow as pa
     import pyarrow.parquet as pq
 
@@ -55,7 +56,7 @@ def _merge_segment_parts(src_dir: str, dst_dir: str, new_part: int,
             tables.append(pq.read_table(p))
     if not tables:
         return 0
-    merged = pa.concat_tables(tables)
+    merged = pa.concat_tables(tables).sort_by("term")
     _write_part(dst_dir, new_part, fingerprint, merged, t0)
     return merged.num_rows
 

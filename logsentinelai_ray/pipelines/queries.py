@@ -2093,11 +2093,10 @@ def q_bm25_topk_bounded(sf_dir: str):
     (query/shards.py max_resident_bytes — the 100-TB deployment where
     per-node segment bytes exceed the heap): only the dictionary is
     resident, posting rows page per parquet row group through a hard
-    byte-capped LRU over the mmap'd segment file. Must be
-    score-identical to the unbounded engine, so it shares bm25_topk's
-    SQL oracle; the entry additionally asserts the lazy path actually
-    ran (cold row-group loads observed under a cap 1/8 of segment
-    bytes)."""
+    byte-capped LRU over the segment file. Must be score-identical to
+    the uncapped engine, so it shares bm25_topk's SQL oracle; the entry
+    additionally asserts that row groups were loaded under a cap 1/8 of
+    segment bytes."""
     eng = _docs_engine(sf_dir)  # ensures the index exists
     key = ("bounded", sf_dir)
     if key not in _ENGINE_CACHE:

@@ -41,8 +41,8 @@ those arrays, and the request's page is the engine's one selection
 (``_hits``). The same node tree runs under WAND past the accumulator
 ceiling by the documented bound-inflation rules on each primitive (see
 boosting_search / function_score_search scale notes in shards.py).
-Unknown nodes raise ValueError — an honest subset, never a silent
-mis-parse.
+Unknown nodes, and a negative ``negative_boost`` or ``weight``, raise
+ValueError — an honest subset, never a silent mis-parse.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..analysis.tokenizer import tokenize_py
+from .shards import _check_boost
 
 _KEYWORD_FIELDS = ("lang", "repo")
 
@@ -102,9 +103,10 @@ def _scored(engine, node: dict) -> np.ndarray:
         return acc
 
     if kind == "boosting":
+        boost = spec.get("negative_boost", 0.5)
+        _check_boost("boosting negative_boost", boost)
         acc = _scored(engine, spec["positive"])
-        neg = _filter_ids(engine, spec["negative"])
-        acc[neg] *= float(spec.get("negative_boost", 0.5))
+        acc[_filter_ids(engine, spec["negative"])] *= float(boost)
         return acc
 
     if kind == "dis_max":
@@ -122,8 +124,9 @@ def _scored(engine, node: dict) -> np.ndarray:
         return best + tie * np.add.reduce(stack, axis=0)
 
     if kind == "function_score":
-        return _scored(engine, spec["query"]) \
-            * float(spec.get("weight", 1.0))
+        weight = spec.get("weight", 1.0)
+        _check_boost("function_score weight", weight)
+        return _scored(engine, spec["query"]) * float(weight)
 
     if kind == "sparse_vector":
         # ES sparse_vector / text_expansion serving shape:

@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 import os
 import re
+from collections import OrderedDict
 from functools import partial
 
 import numpy as np
@@ -222,6 +223,15 @@ def _match_fuzzy(term: str, max_edits: int, transpositions: bool,
     return pa.array(keep)
 
 
+def _check_boost(name: str, value) -> None:
+    """A score multiplier must be >= 0: a negative one would flip the
+    sign of the scores it touches, and every selection keeps scores > 0
+    only, so those documents would silently vanish. Elasticsearch
+    rejects negative scores the same way."""
+    if not float(value) >= 0.0:
+        raise ValueError(f"{name} must be >= 0, got {value!r}")
+
+
 def _gather(refs: dict) -> dict:
     """Wait for a wave of shard calls: {key: ObjectRef or Future} ->
     {key: result}, with one ``ray.get`` for the refs. A federated wave
@@ -327,54 +337,49 @@ class IndexShard:
     small index holds its shards in process, a larger one runs each as
     an ``_IndexShardActor`` process.
 
-    ``max_resident_bytes`` — bounded-memory serving mode (the 100-TB
-    story: total segment bytes across an index can exceed any one
-    node's heap). When set, only the DICTIONARY columns (term, df)
-    stay resident; full segment rows (posting streams + block-max
-    metadata) load lazily per parquet ROW GROUP from the memory-mapped
-    segment file into an LRU capped at the byte budget. Every query
-    path returns identical results — only residency changes — which
-    ``test_memory_bound.py`` pins (served under a cap smaller than
-    total segment bytes with identical ranks and observed
-    evictions)."""
+    One storage path, as Lucene serves a segment: only the dictionary
+    columns (term, df) of each part file stay resident, a
+    term is found by binary search of its partition's sorted term
+    column, and full segment rows (posting streams + block-max
+    metadata) load lazily per parquet ROW GROUP into an LRU.
+    ``max_resident_bytes`` caps that LRU's bytes (the 100-TB story:
+    total segment bytes across an index can exceed any one node's
+    heap); None means no cap, so nothing evicts. The cap changes only
+    residency, never a result, which ``test_memory_bound.py`` pins
+    (identical ranks under a cap smaller than total segment bytes, with
+    observed evictions)."""
 
     def __init__(self, index_dir: str, parts: list[int],
                  max_resident_bytes: int | None = None):
-        # hold the segment as Arrow tables + a term → (table, row) index;
-        # rows are sliced lazily at lookup time. (Materializing per-term
-        # Python dicts for the whole vocabulary cost hundreds of bytes and
-        # a slow cold start per term at realistic vocabulary sizes.)
         self.parts = list(parts)
+        # per part file: its (term, df) columns
         self.tables: list[pa.Table] = []
-        self.term_index: dict[str, tuple[int, int]] = {}
-        # bounded mode: the dictionary residency is the sorted Arrow
-        # term column itself (~len+12 bytes/term); lookups
-        # binary-search it instead of a Python dict whose ~100
-        # bytes/term would dwarf the posting LRU at a 1e8-term
-        # vocabulary (r4 verdict item #2). Segments are written
-        # term-sorted (segments.py merge_runs sort_by term), which the
-        # constructor asserts before trusting the search.
-        self._term_cols: list[pa.Array] = []
-        # per term column: (value offsets, data buffer) as memoryviews
+        # the dictionary is each table's sorted term column itself
+        # (~len+12 bytes/term), binary-searched at lookup time through
+        # its (value offsets, data buffer) memoryviews, instead of a
+        # Python dict whose ~160 bytes/term would dwarf the posting LRU
+        # at a 1e7-term vocabulary. Segments are written term-sorted
+        # (segments.py merge_runs sort_by term), which the constructor
+        # asserts before trusting the search.
         self._term_bufs: list[tuple[memoryview, memoryview]] = []
         # a term lives only in partition term_partition(term, P), so a
-        # bounded lookup searches that partition's table alone
+        # lookup searches that partition's table alone
         self._part_table: dict[int, int] = {}
         # refuses an index whose posting format this engine cannot read
         self.P = int(mf.read_stats(index_dir)["num_partitions"])
-        self.max_resident = max_resident_bytes
+        self.max_resident = (float("inf") if max_resident_bytes is None
+                             else max_resident_bytes)
         import threading
 
         # calls run on several threads (the actor's max_concurrency, or
         # the engine's executors in process): LRU bookkeeping AND the
         # ParquetFile row-group reads (not documented thread-safe)
-        # serialize under this lock; the resident fast path is one dict
-        # get + list move
+        # serialize under this lock; a hit is one dict get + move_to_end
         self._rg_lock = threading.Lock()
         self._files: list = []          # pq.ParquetFile per table
         self._rg_offsets: list = []     # per table: row offset of each RG
-        self._rg_cache: dict = {}       # (ti, rg) -> full-column RG table
-        self._rg_lru: list = []         # LRU order of cache keys
+        # (ti, rg) -> full-column RG table, least recently used first
+        self._rg_cache: OrderedDict = OrderedDict()
         self._rg_bytes = 0
         self._rg_loads = 0              # cold row-group reads (stats)
         self._rg_evictions = 0
@@ -383,51 +388,36 @@ class IndexShard:
             path = os.path.join(seg_dir, f"part-{p:04d}.parquet")
             if not os.path.exists(path):
                 continue
-            ti = len(self.tables)
-            self._part_table[p] = ti
-            if self.max_resident is None:
-                tbl = pq.read_table(path)
-            else:
-                pf = pq.ParquetFile(path, memory_map=True)
-                tbl = pf.read(columns=["term", "df"])
-                offs = np.zeros(pf.num_row_groups, dtype=np.int64)
-                for rg in range(1, pf.num_row_groups):
-                    offs[rg] = offs[rg - 1] \
-                        + pf.metadata.row_group(rg - 1).num_rows
-                self._files.append(pf)
-                self._rg_offsets.append(offs)
+            self._part_table[p] = len(self.tables)
+            # read, not memory-mapped: mapped pages count in the
+            # process's RSS once touched (+2.6 MB of file pages in the
+            # driver on perfbench search_hot, 8k docs), read ones only
+            # while a row group decompresses
+            pf = pq.ParquetFile(path)
+            tbl = pf.read(columns=["term", "df"])
+            offs = np.zeros(pf.num_row_groups, dtype=np.int64)
+            for rg in range(1, pf.num_row_groups):
+                offs[rg] = offs[rg - 1] \
+                    + pf.metadata.row_group(rg - 1).num_rows
+            self._files.append(pf)
+            self._rg_offsets.append(offs)
             self.tables.append(tbl)
-            if self.max_resident is None:
-                self.term_index.update(
-                    (t, (ti, i))
-                    for i, t in enumerate(tbl["term"].to_pylist()))
-            else:
-                col = tbl["term"]
-                if isinstance(col, pa.ChunkedArray):
-                    col = col.combine_chunks()
-                if isinstance(col, pa.ChunkedArray):  # older pyarrow
-                    col = col.chunk(0) if col.num_chunks else \
-                        pa.array([], pa.string())
-                if len(col) > 1:
-                    # binary search requires the on-disk term order
-                    assert pc.all(pc.less_equal(
-                        col.slice(0, len(col) - 1),
-                        col.slice(1))).as_py(), \
-                        f"segment part-{p:04d} terms not sorted"
-                self._term_cols.append(col)
-                self._term_bufs.append(_string_buffers(col))
+            col = tbl["term"].combine_chunks()
+            if len(col) > 1:
+                # binary search requires the on-disk term order
+                assert pc.all(pc.less_equal(
+                    col.slice(0, len(col) - 1),
+                    col.slice(1))).as_py(), \
+                    f"segment part-{p:04d} terms not sorted"
+            self._term_bufs.append(_string_buffers(col))
 
     def _lookup(self, term: str):
-        """(table, row) of ``term`` or None. Default mode: one dict
-        get. Bounded mode: binary search of the sorted resident term
-        column of the one partition the term hashes to — O(log vocab)
-        byte-string compares against O(1) dict time, irrelevant next to
-        posting decode, for a ~10x smaller dictionary residency. Each
-        probe compares the query's UTF-8 bytes with a slice of the
-        column's data buffer (UTF-8 byte order is code-point order, the
-        order Arrow sorted the column in), so no Arrow scalar is boxed."""
-        if self.max_resident is None:
-            return self.term_index.get(term)
+        """(table, row) of ``term`` or None: binary search of the sorted
+        resident term column of the one partition the term hashes to,
+        O(log vocab) byte-string compares. Each probe compares the
+        query's UTF-8 bytes with a slice of the column's data buffer
+        (UTF-8 byte order is code-point order, the order Arrow sorted
+        the column in), so no Arrow scalar is boxed."""
         ti = self._part_table.get(term_partition(term, self.P))
         if ti is None:
             return None
@@ -445,91 +435,67 @@ class IndexShard:
         return None
 
     def _rg_table(self, ti: int, rg: int) -> pa.Table:
-        """Bounded mode: fetch one row group's FULL columns through the
-        byte-capped LRU (load from the memory-mapped file on miss,
-        evict least-recently-used row groups past the budget)."""
+        """One row group's FULL columns through the LRU: read from the
+        part file on a miss, least-recently-used row groups evicted past
+        the byte cap."""
         key = (ti, rg)
         with self._rg_lock:
             tbl = self._rg_cache.get(key)
             if tbl is not None:
-                if self._rg_lru[-1] != key:
-                    self._rg_lru.remove(key)
-                    self._rg_lru.append(key)
+                self._rg_cache.move_to_end(key)
                 return tbl
             tbl = self._files[ti].read_row_group(rg)
             self._rg_loads += 1
             self._rg_cache[key] = tbl
-            self._rg_lru.append(key)
             self._rg_bytes += tbl.nbytes
             # HARD cap: even the just-inserted row group may evict
             # (the caller's reference keeps the returned table alive;
             # Arrow tables are refcounted) — an oversized RG simply
             # never caches
-            while self._rg_bytes > self.max_resident and self._rg_lru:
-                old = self._rg_lru.pop(0)
-                self._rg_bytes -= self._rg_cache.pop(old).nbytes
+            while self._rg_bytes > self.max_resident and self._rg_cache:
+                self._rg_bytes -= self._rg_cache.popitem(last=False)[1] \
+                    .nbytes
                 self._rg_evictions += 1
         return tbl
 
-    def _full_rows(self, locs: list[tuple[int, int]]) -> pa.Table | None:
-        """Full segment rows for (table, row) locations — resident
-        slice in default mode, LRU row-group reads in bounded mode."""
-        if not locs:
-            return None
-        if self.max_resident is None:
-            by_tbl: dict[int, list[int]] = {}
-            for ti, i in locs:
-                by_tbl.setdefault(ti, []).append(i)
-            slices = [self.tables[ti].take(pa.array(idx, pa.int64()))
-                      for ti, idx in sorted(by_tbl.items())]
-            return pa.concat_tables(slices)
-        by_rg: dict[tuple[int, int], list[int]] = {}
-        for ti, i in locs:
-            offs = self._rg_offsets[ti]
-            rg = int(np.searchsorted(offs, i, side="right") - 1)
-            by_rg.setdefault((ti, rg), []).append(i - int(offs[rg]))
-        slices = [self._rg_table(ti, rg).take(pa.array(idx, pa.int64()))
-                  for (ti, rg), idx in sorted(by_rg.items())]
-        return pa.concat_tables(slices)
+    def _row_group(self, loc: tuple[int, int]) -> tuple[tuple, int]:
+        """A (table, row) location as ((table, row group), row in it)."""
+        ti, i = loc
+        offs = self._rg_offsets[ti]
+        rg = int(np.searchsorted(offs, i, side="right") - 1)
+        return (ti, rg), i - int(offs[rg])
 
     def cache_stats(self) -> dict:
-        """Bounded-mode residency counters (zeros in default mode)."""
+        """Row-group residency counters."""
         return {"rg_loads": self._rg_loads,
                 "rg_evictions": self._rg_evictions,
                 "resident_bytes": self._rg_bytes,
                 "resident_row_groups": len(self._rg_cache)}
 
     def dict_stats(self) -> dict:
-        """Dictionary residency: terms held in the Python dict (0 in
-        bounded mode — there the dictionary IS the sorted Arrow term
-        column) and the Arrow column bytes backing bounded lookups."""
-        return {"py_dict_terms": len(self.term_index),
-                "term_col_bytes": int(sum(c.nbytes
-                                          for c in self._term_cols)),
-                "n_terms": self.n_terms()}
+        """Dictionary totals of this shard's partitions: terms, postings
+        (the sum of their dfs) and the Arrow term-column bytes that
+        lookups binary-search."""
+        return {"n_terms": sum(t.num_rows for t in self.tables),
+                "n_postings": sum(pc.sum(t["df"]).as_py() or 0
+                                  for t in self.tables),
+                "term_col_bytes": sum(t["term"].nbytes
+                                      for t in self.tables)}
 
     def get_terms(self, terms: list[str]) -> pa.Table | None:
         """Requested terms' segment rows as ONE Arrow table (from an
         actor, Ray ships it via pickle-5 out-of-band buffers — no
         per-value pickling of the posting streams)."""
-        locs = [loc for t in terms
-                if (loc := self._lookup(t)) is not None]
-        return self._full_rows(locs)
-
-    def _seg_row(self, loc: tuple[int, int]) -> tuple[pa.Table, int]:
-        """One term's full segment row location — the resident table in
-        default mode, its LRU-cached row group in bounded mode."""
-        if self.max_resident is None:
-            return self.tables[loc[0]], loc[1]
-        offs = self._rg_offsets[loc[0]]
-        rg = int(np.searchsorted(offs, loc[1], side="right") - 1)
-        return self._rg_table(loc[0], rg), loc[1] - int(offs[rg])
-
-    def n_terms(self) -> int:
-        # a term lives in exactly ONE hash partition, so summing
-        # per-table rows equals the dict length in default mode and is
-        # the only option in bounded mode (no dict exists there)
-        return sum(t.num_rows for t in self.tables)
+        by_rg: dict[tuple[int, int], list[int]] = {}
+        for t in terms:
+            if (loc := self._lookup(t)) is not None:
+                key, i = self._row_group(loc)
+                by_rg.setdefault(key, []).append(i)
+        if not by_rg:
+            return None
+        return pa.concat_tables(
+            [self._rg_table(*key).take(pa.array(idx, pa.int64()))
+             for key, idx in sorted(by_rg.items())])
 
     def term_dfs(self, terms: list[str]) -> dict[str, int]:
         """Document frequencies only — a dictionary lookup, no posting
@@ -559,7 +525,7 @@ class IndexShard:
         predicate runs where the dictionary lives, fuzzy's edit-distance
         check included, so at most ``limit`` small rows ship back."""
         return _first_rows(
-            [tbl.select(["term", "df"]).filter(match(tbl["term"], tbl["df"]))
+            [tbl.filter(match(tbl["term"], tbl["df"]))
              for tbl in self.tables if tbl.num_rows], order, limit)
 
     def hot_terms(self, top_n: int) -> list[str]:
@@ -582,7 +548,8 @@ class IndexShard:
         loc = self._lookup(term)
         if loc is None:
             return None
-        return TermPostings(_posting_row(*self._seg_row(loc)))
+        key, i = self._row_group(loc)
+        return TermPostings(_posting_row(self._rg_table(*key), i))
 
     def decode_term(self, term: str, n_docs: int, k1: float, b: float,
                     avgdl: float, idf_override: float | None = None):
@@ -666,8 +633,8 @@ class IndexShard:
 # 0.1 CPU + one 1-CPU pool worker reserved). Their decode work is
 # thread-side numpy that the scheduler cannot meter anyway; placement
 # at target scale is by memory, not CPU. max_concurrency=4: every
-# method is read-only after __init__ (tables + term_index are
-# immutable), so a threaded actor lets an on-demand decode_term run
+# method but the row-group LRU (which takes its own lock) is read-only
+# after __init__, so a threaded actor lets an on-demand decode_term run
 # (numpy decode releases the GIL for its vectorized passes).
 # concurrency_groups: the engine sends its speculative prewarm decodes
 # through the 2-thread "prewarm" group, so on-demand calls keep the
@@ -760,7 +727,7 @@ class SearchEngine:
 
     Every call to the shards goes through one of three round helpers,
     each one wave: ``_broadcast`` (one call per shard: warmup,
-    hot_terms, cache_stats, n_terms, dict_caps and the ``_scan``
+    hot_terms, cache_stats, dict_stats, dict_caps and the ``_scan``
     dictionary scan), ``_grouped`` (one call per shard owning some of
     the terms: ``get_terms``, ``term_dfs``) and ``_term_refs`` +
     ``_gather`` (one call per term on its owner: ``decode_term``,
@@ -777,6 +744,14 @@ class SearchEngine:
     and at most ``min(MAX_SHARDS, num_partitions)``. A given
     ``num_shards`` is used as is (capped at the partition count).
     Results are bit-identical for every shard count.
+
+    ``max_resident_bytes`` — a cap on the decompressed (Arrow) bytes of
+    the posting row groups the shards keep resident, split evenly over
+    them; None (the default) sets no cap. It is the only difference between engines over one
+    index: every shard keeps just its (term, df) columns resident,
+    finds terms in the sorted term column and reads posting rows per
+    row group through its LRU, so a cap moves residency, never a
+    result.
 
     ``shards`` / ``part_to_shard`` list handles in both modes:
     ``ray.get(h.method.remote(*args))`` calls ``IndexShard.method`` on
@@ -915,8 +890,7 @@ class SearchEngine:
                 group="prewarm")
 
     def cache_stats(self) -> dict:
-        """Aggregate bounded-memory residency counters across shards
-        (all zeros when serving unbounded)."""
+        """Row-group residency counters summed across shards."""
         stats = self._broadcast("cache_stats")
         return {k: sum(s[k] for s in stats) for k in stats[0]} if stats \
             else {}
@@ -2042,18 +2016,11 @@ class SearchEngine:
         no posting decode, no corpus scan. n_terms/n_postings include
         the keyword field postings (lang:/repo:), like ES counts its
         keyword fields."""
-        n_terms = int(sum(self._broadcast("n_terms")))
-        seg_dir = os.path.join(self.index_dir, "segments")
-        n_postings = 0
-        for name in os.listdir(seg_dir):
-            if name.endswith(".parquet"):
-                t = pq.read_table(os.path.join(seg_dir, name),
-                                  columns=["df"])
-                n_postings += int(pc.sum(t["df"]).as_py() or 0)
+        shard_stats = self._broadcast("dict_stats")
         return pa.table({
             "n_docs": pa.array([int(self.stats["n_docs"])], pa.int64()),
-            "n_terms": pa.array([n_terms], pa.int64()),
-            "n_postings": pa.array([n_postings], pa.int64()),
+            **{k: pa.array([sum(st[k] for st in shard_stats)], pa.int64())
+               for k in ("n_terms", "n_postings")},
             "total_tokens": pa.array([int(self.stats["total_tokens"])],
                                      pa.int64()),
         })
@@ -2134,7 +2101,12 @@ class SearchEngine:
         the ceiling the same semantics hold under WAND with upper bounds
         inflated by max(weight) plus exact per-doc re-weighting at
         scoring time (bounds stay admissible because weights are
-        per-doc multipliers bounded by the max)."""
+        per-doc multipliers bounded by the max). A negative weight
+        raises ``ValueError``, as Elasticsearch rejects negative
+        scores."""
+        for field, vals in weights.items():
+            for value, w in vals.items():
+                _check_boost(f"weight of {field}:{value}", w)
         terms = sorted(set(self._toks(text)))
         if not terms:
             return self._format_result([], with_meta)
@@ -2187,7 +2159,9 @@ class SearchEngine:
         multiply over the union of the negative terms' posting ids.
         Runs in the TAAT regime like function_score_search; the WAND
         scale path inflates bounds by max(1, negative_boost) — bounds
-        stay admissible because the multiplier is per-doc and <= 1."""
+        stay admissible because the multiplier is per-doc and <= 1. A
+        negative ``negative_boost`` raises ``ValueError``."""
+        _check_boost("negative_boost", negative_boost)
         terms = sorted(set(self._toks(positive)))
         if not terms:
             return self._format_result([], with_meta)
@@ -2205,10 +2179,13 @@ class SearchEngine:
         """ES ``pinned`` query: the given ids rank first in their given
         order (ES assigns them decreasing sentinel scores; here
         ``1e6 - position``), then organic BM25 results fill the
-        remainder, excluding the pinned ids. Tombstoned pinned ids are
-        dropped like any other deleted doc."""
-        pinned = [int(d) for d in self._drop_tombstones(
-            np.asarray(pinned_ids, dtype=np.int64))]
+        remainder, excluding the pinned ids. Ids outside ``[0, n_docs)``
+        and tombstoned ids are dropped, and a repeated id pins only at
+        its first position, as the DSL ``ids`` filter treats them."""
+        n = int(self.stats["n_docs"])
+        pinned = [int(d) for d in self._drop_tombstones(np.asarray(
+            [d for d in dict.fromkeys(int(d) for d in pinned_ids)
+             if 0 <= d < n], dtype=np.int64))]
         head = [(d, 1_000_000.0 - i)
                 for i, d in enumerate(pinned[:k], start=1)]
         organic: list[tuple[int, float]] = []

@@ -1,7 +1,8 @@
-"""Bounded-memory serving (query/shards.py max_resident_bytes): only
-the dictionary stays resident; full segment rows page through a
-byte-capped per-row-group LRU. Every query path must return results
-identical to the unbounded engine — residency is the ONLY difference."""
+"""Bounded-memory serving (query/shards.py max_resident_bytes): every
+shard keeps only its dictionary resident and pages full segment rows
+through a per-row-group LRU; the cap bounds that LRU's bytes. Every
+query path must return results identical to the uncapped engine —
+residency is the ONLY difference."""
 
 import os
 
@@ -59,8 +60,27 @@ def test_bounded_cap_respected_and_evicting(bounded_pair):
     # the query set touches more row-group bytes than the cap allows,
     # so the LRU must have evicted (and re-loaded on revisit)
     assert st["rg_evictions"] > 0
-    # the unbounded engine never touches the lazy path
-    assert full.cache_stats()["rg_loads"] == 0
+    # an uncapped engine loads row groups lazily and never evicts
+    for q in QUERIES:
+        full.search(q, k=20, with_meta=False, strategy="wand")
+    st = full.cache_stats()
+    assert st["rg_loads"] > 0 and st["rg_evictions"] == 0
+    assert st["resident_row_groups"] == st["rg_loads"]
+
+
+def test_uncapped_engine_opens_without_row_groups(small_index):
+    """Opening reads only the (term, df) columns: no posting row group
+    is resident until a query needs it."""
+    idx_dir, _cfg = small_index
+    eng = SearchEngine(idx_dir, num_shards=2, prewarm_hot_terms=0)
+    try:
+        assert eng.cache_stats() == {"rg_loads": 0, "rg_evictions": 0,
+                                     "resident_bytes": 0,
+                                     "resident_row_groups": 0}
+        eng.search("error", k=5, with_meta=False)
+        assert 0 < eng.cache_stats()["rg_loads"]
+    finally:
+        eng.shutdown()
 
 
 def test_bounded_phrase_and_filters(bounded_pair, small_index):
@@ -76,26 +96,26 @@ def test_bounded_phrase_and_filters(bounded_pair, small_index):
 
 
 def test_bounded_dictionary_residency(bounded_pair):
-    """Bounded mode must hold NO per-term Python dict (at a 1e8-term
-    vocabulary a ~100-byte/term dict would dwarf the posting LRU the
-    mode exists to cap): the dictionary residency is the sorted Arrow
-    term column, a few tens of bytes/term, binary-searched at lookup
-    time with rank identity pinned above."""
+    """No shard, capped or not, holds a per-term Python dict (at a
+    1e7-term vocabulary a ~160-byte/term dict would dwarf the posting
+    LRU the cap exists to bound): the dictionary residency is the
+    sorted Arrow term column, a few tens of bytes/term, binary-searched
+    at lookup time with rank identity pinned above."""
     import ray
 
-    full, bounded, _cap = bounded_pair
-    for st in ray.get([s.dict_stats.remote() for s in bounded.shards]):
-        assert st["py_dict_terms"] == 0
-        if st["n_terms"]:
-            assert st["term_col_bytes"] > 0
-            # Arrow string column: 4-byte offset + payload (+ padding);
-            # short code tokens stay well under the ~100 B/entry a
-            # Python dict[str, tuple] costs
-            assert st["term_col_bytes"] / st["n_terms"] < 48
-    # default mode is unchanged: the hot-path dict covers every term
-    for st in ray.get([s.dict_stats.remote() for s in full.shards]):
-        assert st["py_dict_terms"] == st["n_terms"]
-        assert st["term_col_bytes"] == 0
+    for eng in bounded_pair[:2]:
+        stats = ray.get([s.dict_stats.remote() for s in eng.shards])
+        assert sum(st["n_terms"] for st in stats) > 0
+        for shard, st in zip(eng._shard_objs, stats):
+            assert not any(isinstance(v, (dict, list, set))
+                           and len(v) >= st["n_terms"] > 0
+                           for v in vars(shard).values()), \
+                "per-term container on a shard"
+            if st["n_terms"]:
+                # Arrow string column: 4-byte offset + payload
+                # (+ padding); short code tokens stay well under the
+                # ~160 B/entry a Python dict[str, tuple] costs
+                assert 0 < st["term_col_bytes"] / st["n_terms"] < 48
 
 
 def test_bounded_lookup_miss_and_field_terms(bounded_pair):

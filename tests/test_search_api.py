@@ -552,14 +552,50 @@ def test_pinned_order_then_organic(engine, doc_tokens):
            int(organic["doc_id"][1].as_py())]
     res = engine.pinned_search(pin, text, k=10)
     ids = res["doc_id"].to_pylist()
-    # pinned first, given order, nonexistent id still pinned (ES keeps
-    # unmatched pinned ids; only tombstoned ones drop)
-    assert ids[:3] == pin
-    assert res["score"].to_pylist()[:3] == [999999.0, 999998.0, 999997.0]
+    # pinned first, in the given order; an id of no document is dropped
+    assert ids[:2] == [pin[0], pin[2]]
+    assert res["score"].to_pylist()[:2] == [999999.0, 999998.0]
     # organic tail excludes the pinned ids and preserves relative order
     tail_exp = [d for d in organic["doc_id"].to_pylist()
-                if d not in set(pin)][:7]
-    assert ids[3:] == tail_exp
+                if d not in set(pin)][:8]
+    assert ids[2:] == tail_exp
+
+
+def test_pinned_drops_missing_and_repeated_ids(engine, doc_tokens):
+    """Ids outside [0, n_docs) pin nothing, and a repeated id pins once,
+    at its first position: every pinned row is a real document."""
+    text = " ".join(doc_tokens[0][1][:4])
+    n = int(engine.stats["n_docs"])
+    res = engine.pinned_search([10**9, -5, 3, n, 7, 3], text, k=10,
+                               with_meta=True)
+    ids = res["doc_id"].to_pylist()
+    assert ids[:2] == [3, 7]
+    assert res["score"].to_pylist()[:2] == [999999.0, 999998.0]
+    assert len(ids) == len(set(ids)) and all(0 <= d < n for d in ids)
+    assert None not in res["sha256"].to_pylist()
+    only_bad = engine.pinned_search([10**9, -5, n], text, k=10)
+    assert only_bad.to_pydict() == engine.search(
+        text, k=10, with_meta=False).to_pydict()
+
+
+@pytest.mark.parametrize("call", [
+    lambda e, t: e.boosting_search(t, negative=t, negative_boost=-1),
+    lambda e, t: e.function_score_search(
+        t, weights={"lang": {"python": 2.0, "go": -0.5}}),
+    lambda e, t: e.dsl_search({"query": {"boosting": {
+        "positive": {"match": {"content": t}},
+        "negative": {"match": {"content": t}},
+        "negative_boost": -1}}}),
+    lambda e, t: e.dsl_search({"query": {"function_score": {
+        "query": {"match": {"content": t}}, "weight": -2}}}),
+], ids=["boosting", "function_score", "dsl_boosting", "dsl_function_score"])
+def test_negative_boosts_raise(engine, doc_tokens, call):
+    """A negative boost or weight would flip the matched scores below 0,
+    where every selection drops them: it raises instead of returning
+    nothing."""
+    text = " ".join(doc_tokens[0][1][:4])
+    with pytest.raises(ValueError, match=">= 0"):
+        call(engine, text)
 
 
 def test_distance_feature_formula(engine, doc_tokens):

@@ -313,7 +313,8 @@ def test_in_process_shards_under_concurrent_calls(small_index):
             assert shard._rg_bytes == sum(
                 t.nbytes for t in shard._rg_cache.values())
             assert shard._rg_bytes <= shard.max_resident
-            assert sorted(shard._rg_lru) == sorted(shard._rg_cache)
+            assert len(shard._rg_cache) == \
+                shard._rg_loads - shard._rg_evictions
     finally:
         eng.shutdown()
 
@@ -341,39 +342,59 @@ def unicode_index(ray_session, tmp_path_factory):
     return idx, names
 
 
+def _part_rows(idx: str) -> dict[str, dict]:
+    """The reference dictionary: every term of the index's part files ->
+    its full segment row, read straight from the files."""
+    import glob
+
+    import pyarrow.parquet as pq
+
+    return {r["term"]: r
+            for f in sorted(glob.glob(f"{idx}/segments/part-*.parquet"))
+            for r in pq.read_table(f).to_pylist()}
+
+
+def _check_lookups(eng: SearchEngine, rows: dict, absent: list[str]) -> None:
+    """``_term_dfs``, each shard's ``term_dfs`` and ``get_terms`` against
+    the reference rows, for every term plus ``absent``: a shard finds
+    exactly the terms of the partitions it owns, with their part-file
+    df and row, and nothing else."""
+    terms = sorted(rows) + absent
+    want = {t: rows[t]["df"] if t in rows else 0 for t in terms}
+    assert eng._term_dfs(terms) == want
+    for shard in eng.shards:
+        mine = {t for t in rows if eng.part_to_shard[
+            term_partition(t, eng.P)] is shard}
+        assert ray.get(shard.term_dfs.remote(terms)) == \
+            {t: rows[t]["df"] for t in mine}
+        got = ray.get(shard.get_terms.remote(terms))
+        got = {} if got is None else {r["term"]: r for r in got.to_pylist()}
+        assert got == {t: rows[t] for t in mine}
+    for t in absent:          # one term through its owner, alone
+        owner = eng.part_to_shard[term_partition(t, eng.P)]
+        assert ray.get(owner.get_terms.remote([t])) is None, t
+
+
 @pytest.mark.parametrize("num_shards", [1, 4])
 def test_bounded_lookup_matches_default(unicode_index, num_shards):
-    """Bounded lookups search only the table of the term's partition;
-    they must agree with the default dict lookup on present, absent and
-    non-ASCII terms — and a shard asked for a term of a partition it
-    does not own finds nothing in either mode."""
+    """Lookups binary-search only the sorted term column of the term's
+    partition: capped or not, they agree with the part files on every
+    present term, on absent and non-ASCII terms, and a shard asked for
+    a term of a partition it does not own finds nothing."""
     idx, names = unicode_index
-    full = SearchEngine(idx, num_shards=num_shards, prewarm_hot_terms=0)
-    bounded = SearchEngine(idx, num_shards=num_shards, prewarm_hot_terms=0,
-                           max_resident_bytes=4096)
-    try:
-        present = ["error", "lang:python"] + [f"repo:{n}" for n in names]
-        absent = ["zzz_nonexistent_term_q", "repo:org/cafe", "日本語",
-                  "repo:org/日本", "", "￿"]
-        want = full._term_dfs(present + absent)       # 0 = absent
-        assert {t for t, df in want.items() if df} == set(present)
-        assert bounded._term_dfs(present + absent) == want
-        for t in present + absent:
-            owner = term_partition(t, full.P)
-            for eng in (full, bounded):
-                for i, shard in enumerate(eng.shards):
-                    got = ray.get(shard.term_dfs.remote([t]))
-                    mine = shard is eng.part_to_shard[owner]
-                    assert got == ({t: want[t]} if mine and want[t]
-                                   else {}), (t, i, num_shards)
-            a = ray.get(full.part_to_shard[owner].get_terms.remote([t]))
-            b = ray.get(bounded.part_to_shard[owner].get_terms.remote([t]))
-            assert (a is None) == (b is None) == (not want[t])
-            if a is not None:
-                assert a.to_pylist() == b.to_pylist()
-    finally:
-        full.shutdown()
-        bounded.shutdown()
+    rows = _part_rows(idx)
+    assert {f"repo:{n}" for n in names} | {"error", "lang:python"} \
+        <= set(rows)
+    absent = ["zzz_nonexistent_term_q", "repo:org/cafe", "日本語",
+              "repo:org/日本", "", "\uffff"]
+    assert not set(absent) & set(rows)
+    for cap in (None, 4096):
+        eng = SearchEngine(idx, num_shards=num_shards, prewarm_hot_terms=0,
+                           max_resident_bytes=cap)
+        try:
+            _check_lookups(eng, rows, absent)
+        finally:
+            eng.shutdown()
 
 
 _PREFIX_REPOS = ["org/a", "org/ab", "org/abc", "org/é", "org/éa", "org/éé",
@@ -406,31 +427,25 @@ def prefix_index(ray_session, tmp_path_factory):
 
 
 def test_bounded_lookup_shared_prefixes_multibyte(prefix_index):
-    """Byte-wise binary search agrees with the dict lookup on every term
+    """Byte-wise binary search agrees with the part file on every term
     of the partition and on absent neighbours of the repo terms: a
     prefix, an extension by a 1- to 4-byte code point, and the next
     code point in the last place."""
-    import pyarrow.parquet as pq
-
-    full = SearchEngine(prefix_index, num_shards=1, prewarm_hot_terms=0)
-    bounded = SearchEngine(prefix_index, num_shards=1, prewarm_hot_terms=0,
-                           max_resident_bytes=4096)
-    try:
-        vocab = pq.read_table(f"{prefix_index}/segments/part-0000.parquet",
-                              columns=["term"])["term"].to_pylist()
-        assert vocab == sorted(vocab)
-        present = [f"repo:{r}" for r in _PREFIX_REPOS]
-        assert set(present) <= set(vocab)
-        absent = {"repo:org/", "repo:org/abcd", "repo:org/aé",
-                  "repo:org/日本語", "repo:org/𝄞a", "repo:org/😀",
-                  "repo:org/ac", "repo:org/ê", "repo:org/日b",
-                  "repo:org/😁", "repo:org/\x7f\x7f", "repo:", "~"}
-        absent |= {t[:-1] + chr(ord(t[-1]) + 1) for t in present}
-        absent -= set(vocab)
-        want = full._term_dfs(vocab + sorted(absent))
-        assert all(want[t] for t in vocab)
-        assert not any(want[t] for t in absent)
-        assert bounded._term_dfs(vocab + sorted(absent)) == want
-    finally:
-        full.shutdown()
-        bounded.shutdown()
+    rows = _part_rows(prefix_index)
+    vocab = list(rows)
+    assert vocab == sorted(vocab)
+    present = [f"repo:{r}" for r in _PREFIX_REPOS]
+    assert set(present) <= set(vocab)
+    absent = {"repo:org/", "repo:org/abcd", "repo:org/aé",
+              "repo:org/日本語", "repo:org/𝄞a", "repo:org/😀",
+              "repo:org/ac", "repo:org/ê", "repo:org/日b",
+              "repo:org/😁", "repo:org/\x7f\x7f", "repo:", "~"}
+    absent |= {t[:-1] + chr(ord(t[-1]) + 1) for t in present}
+    absent -= set(vocab)
+    for cap in (None, 4096):
+        eng = SearchEngine(prefix_index, num_shards=1, prewarm_hot_terms=0,
+                           max_resident_bytes=cap)
+        try:
+            _check_lookups(eng, rows, sorted(absent))
+        finally:
+            eng.shutdown()

@@ -45,6 +45,22 @@ def test_shrink_rank_identical_wand_and_filters(engine, shrunk):
     assert af["doc_id"].to_pylist() == bf["doc_id"].to_pylist()
 
 
+@pytest.mark.parametrize("fixture", ["shrunk", "split2"])
+def test_repartitioned_parts_are_term_sorted(request, fixture):
+    """Every shard binary-searches its part files' term columns, so a
+    shrunk or split part must be term-sorted like a built one."""
+    import pyarrow.parquet as pq
+
+    seg = os.path.join(request.getfixturevalue(fixture).index_dir,
+                       "segments")
+    parts = sorted(f for f in os.listdir(seg) if f.startswith("part-"))
+    assert parts
+    for f in parts:
+        terms = pq.read_table(os.path.join(seg, f),
+                              columns=["term"])["term"].to_pylist()
+        assert terms == sorted(terms), f
+
+
 def test_shrink_preserves_positions(engine, shrunk):
     """Phrase queries read the positions sidecar — the directory-wise
     merge must keep every (term, doc, pos) row reachable."""
